@@ -23,9 +23,7 @@ import (
 	"repro/internal/hetero"
 	"repro/internal/homog"
 	"repro/internal/lu"
-	"repro/internal/lupar"
 	"repro/internal/matrix"
-	"repro/internal/mw"
 	"repro/internal/ooc"
 	"repro/internal/platform"
 	"repro/internal/sim"
@@ -202,10 +200,15 @@ func BenchmarkFig11RealRuntime(b *testing.B) {
 	matrix.DeterministicFill(bd, 2)
 	a := matrix.Partition(ad, q)
 	bb := matrix.Partition(bd, q)
+	workers := make([]cluster.LocalWorkerConfig, 4)
+	for i := range workers {
+		workers[i].Mem = 2*2 + 4*2 // the µ = 2 overlapped layout
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		c := matrix.NewBlocked(8, 16, q)
-		if _, err := mw.Multiply(c, a, bb, mw.Config{Workers: 4, Mu: 2, StageCap: 2, Mode: mw.Demand}); err != nil {
+		spec := cluster.JobSpec{Kind: cluster.MatMul, C: c, A: a, B: bb, Mu: 2}
+		if _, err := cluster.RunJob(spec, workers); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -620,18 +623,30 @@ func BenchmarkGridOuterProductReal(b *testing.B) {
 
 // --- real parallel LU (§7) ----------------------------------------------------
 
+// BenchmarkLUParallelReal factors a 256×256 matrix (q = 32, µ = 1) as a
+// one-job in-process cluster: the right-looking block LU job, with its
+// trailing updates spread over the workers.
 func BenchmarkLUParallelReal(b *testing.B) {
-	n := 256
+	const n, q = 256, 32
 	src := matrix.NewDense(n, n)
 	lu.DiagonallyDominant(src, 3)
 	for _, workers := range []int{1, 2, 4} {
 		b.Run(fmt.Sprintf("workers%d", workers), func(b *testing.B) {
+			fleet := make([]cluster.LocalWorkerConfig, workers)
+			for i := range fleet {
+				fleet[i].Mem = 64
+			}
 			b.SetBytes(int64(8 * n * n))
+			var m *matrix.Blocked
 			for i := 0; i < b.N; i++ {
-				a := src.Clone()
-				if _, err := lupar.Factor(a, lupar.Config{Workers: workers, Panel: 32}); err != nil {
+				m = matrix.Partition(src, q)
+				if _, err := cluster.RunJob(cluster.JobSpec{Kind: cluster.LU, M: m, Mu: 1}, fleet); err != nil {
 					b.Fatal(err)
 				}
+			}
+			b.StopTimer()
+			if res := lu.Residual(src, m.Assemble()); res > 1e-8 {
+				b.Fatalf("residual %g > 1e-8", res)
 			}
 		})
 	}

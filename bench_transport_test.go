@@ -1,6 +1,7 @@
 package repro
 
 import (
+	"errors"
 	"net"
 	"sync"
 	"testing"
@@ -51,17 +52,158 @@ type byteCounter interface {
 	BytesOut() int64
 }
 
+// benchFeed is a single-session chunk-list Feed (and ResidentFeed) for
+// the transport benchmarks: it hands out chunks in engine.PickChunk
+// order as job 0 with the chunk ID as sequence number, commits dense
+// results and flushes into C and, on the resident path, asks for one
+// flush once every chunk is acked.
+type benchFeed struct {
+	mu       sync.Mutex
+	cond     *sync.Cond
+	c, a, b  *matrix.Blocked
+	pool     []*sim.Chunk
+	bp       *engine.BlockPool
+	resident bool
+	last     *sim.Chunk
+	out      map[uint32]*sim.Chunk
+	left     int // chunks not yet committed into C
+	acked    int // resident chunks awaiting the flush
+	flushing bool
+	lost     bool
+}
+
+func newBenchFeed(c, a, b *matrix.Blocked, chunks []*sim.Chunk, bp *engine.BlockPool, resident bool) *benchFeed {
+	f := &benchFeed{c: c, a: a, b: b, pool: append([]*sim.Chunk(nil), chunks...), bp: bp,
+		resident: resident, out: make(map[uint32]*sim.Chunk), left: len(chunks)}
+	f.cond = sync.NewCond(&f.mu)
+	return f
+}
+
+func (f *benchFeed) Next() (*engine.Assign, error) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for {
+		switch {
+		case f.lost:
+			return nil, errors.New("bench feed: session lost")
+		case len(f.pool) > 0:
+			idx := engine.PickChunk(f.pool, f.last)
+			ch := f.pool[idx]
+			f.pool = append(f.pool[:idx], f.pool[idx+1:]...)
+			f.last = ch
+			f.out[uint32(ch.ID)] = ch
+			return f.assign(ch), nil
+		case len(f.out) == 0 && f.acked > 0 && !f.flushing:
+			f.flushing = true
+			return nil, engine.ErrFlushWanted
+		case f.left == 0:
+			return nil, engine.ErrFeedDone
+		}
+		f.cond.Wait()
+	}
+}
+
+// assign materializes a chunk's C tile as owned pooled copies; resident
+// runs flag all-zero blocks CZero and ship only the rest.
+func (f *benchFeed) assign(ch *sim.Chunk) *engine.Assign {
+	as := f.bp.GetAssign()
+	as.ID = engine.AssignID{B: uint32(ch.ID)}
+	as.I0, as.J0 = ch.I0, ch.J0
+	as.Rows, as.Cols, as.Q, as.Steps = ch.Rows, ch.Cols, f.c.Q, len(ch.Steps)
+	for i := 0; i < ch.Rows; i++ {
+		for j := 0; j < ch.Cols; j++ {
+			src := f.c.Block(ch.I0+i, ch.J0+j).Data
+			if f.resident {
+				if engine.AllZeroBits(src) {
+					as.CFlags = append(as.CFlags, engine.CZero)
+					continue
+				}
+				as.CFlags = append(as.CFlags, engine.CShip)
+			}
+			as.Blocks = append(as.Blocks, f.bp.GetCopy(src))
+		}
+	}
+	as.Owned = true
+	return as
+}
+
+func (f *benchFeed) Set(id engine.AssignID, k int) (*engine.Set, error) {
+	f.mu.Lock()
+	ch := f.out[id.B]
+	f.mu.Unlock()
+	set := f.bp.GetSet()
+	set.K = k
+	for i := 0; i < ch.Rows; i++ {
+		set.A = append(set.A, f.a.Block(ch.I0+i, k).Data)
+	}
+	for j := 0; j < ch.Cols; j++ {
+		set.B = append(set.B, f.b.Block(k, ch.J0+j).Data)
+	}
+	engine.StampIDs(set, 0, ch, k)
+	return set, nil
+}
+
+func (f *benchFeed) Complete(id engine.AssignID, blocks [][]float64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	ch := f.out[id.B]
+	for i := 0; i < ch.Rows; i++ {
+		for j := 0; j < ch.Cols; j++ {
+			copy(f.c.Block(ch.I0+i, ch.J0+j).Data, blocks[i*ch.Cols+j])
+		}
+	}
+	delete(f.out, id.B)
+	f.left--
+	f.cond.Broadcast()
+	return nil
+}
+
+func (f *benchFeed) Acked(id engine.AssignID) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	delete(f.out, id.B)
+	f.acked++
+	f.cond.Broadcast()
+	return nil
+}
+
+func (f *benchFeed) CommitFlush(ids []uint64, blocks [][]float64) error {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	for n, id := range ids {
+		_, i, j, _ := engine.CBlockCoords(id)
+		copy(f.c.Block(i, j).Data, blocks[n])
+	}
+	f.left -= f.acked
+	f.acked, f.flushing = 0, false
+	f.cond.Broadcast()
+	return nil
+}
+
+func (f *benchFeed) Lost() {
+	f.mu.Lock()
+	f.lost = true
+	f.cond.Broadcast()
+	f.mu.Unlock()
+}
+
 // transportRun is one full multiply over loopback TCP through the
-// engine: the master-side stats plus the measured egress bytes.
+// engine: the session's delta/result accounting, the logical
+// communication volume (every operand block an update set referenced
+// plus each C tile down and up once — the paper's CCR numerator) and
+// the measured egress bytes.
 type transportRun struct {
-	stats  engine.MasterStats
+	comm   engine.CommStats
+	blocks int64
 	egress int64
 }
 
 // runTransportOnce executes one full multiply over loopback TCP through
-// the engine: one master transport, one pipelined worker. resident
-// turns on the single-flush result path (worker-resident C tiles,
-// flush manifests instead of dense per-chunk results).
+// the one master: a RunFeeder session on the cluster dialect's server
+// transport, fed by a benchFeed, and one pipelined worker. pool nil is
+// the unpooled arm; disableDelta ships full update sets; resident turns
+// on the single-flush result path (worker-resident C tiles, flush
+// manifests instead of dense per-chunk results).
 func runTransportOnce(tb testing.TB, ln net.Listener, c, a, b *matrix.Blocked, chunks []*sim.Chunk, pool *engine.BlockPool, disableDelta, resident bool) transportRun {
 	accepted := make(chan net.Conn, 1)
 	go func() {
@@ -79,23 +221,24 @@ func runTransportOnce(tb testing.TB, ln net.Listener, c, a, b *matrix.Blocked, c
 	go func() {
 		defer wg.Done()
 		defer wconn.Close() // RunWorker leaves a cleanly-Byed transport open
-		wtr := netmw.NewWorkerTransport(wconn, pool)
-		engine.RunWorker(wtr, engine.WorkerConfig{
-			StageCap: 2, Slots: 2, Cores: 1,
-			PullAssigns: true, PullSets: true, PullResults: true,
-			Pool: pool,
+		engine.RunWorker(netmw.NewClusterWorkerTransport(wconn, pool), engine.WorkerConfig{
+			StageCap: 2, Slots: 2, Cores: 1, PullSets: true, Pool: pool,
 		})
 	}()
-	mtr := netmw.NewMasterTransport(<-accepted, c.Q, pool)
-	stats, err := engine.RunMaster(c, a, b, append([]*sim.Chunk(nil), chunks...),
-		[]engine.Transport{mtr}, engine.MasterConfig{
-			Pool: pool, DisableDelta: disableDelta, ResidentResults: resident,
-		})
+	mtr := netmw.NewServerTransport(<-accepted, pool, func() error { return nil })
+	fstats, err := engine.RunFeeder(mtr, newBenchFeed(c, a, b, chunks, pool, resident), engine.FeederConfig{
+		Slots: 2, Pool: pool, DisableDelta: disableDelta,
+	})
 	if err != nil {
 		tb.Fatal(err)
 	}
 	wg.Wait()
-	return transportRun{stats: stats, egress: mtr.(byteCounter).BytesOut()}
+	cm := fstats.Comm
+	return transportRun{
+		comm:   cm,
+		blocks: cm.BlocksShipped + cm.BlocksSkipped + 2*int64(c.BR*c.BC),
+		egress: mtr.(byteCounter).BytesOut(),
+	}
 }
 
 // BenchmarkTransport measures the steady-state TCP path of the unified
@@ -136,7 +279,7 @@ func BenchmarkTransport(b *testing.B) {
 				// "payload bytes of every logical block through the
 				// port", and stays comparable across PRs; the delta
 				// protocol has its own series (BenchmarkTransportDelta).
-				blocks = runTransportOnce(b, ln, work, a, bb, chunks, arm.pool, true, false).stats.Blocks
+				blocks = runTransportOnce(b, ln, work, a, bb, chunks, arm.pool, true, false).blocks
 			}
 			b.StopTimer()
 			b.SetBytes(blocks * int64(q) * int64(q) * 8)
@@ -243,10 +386,10 @@ func BenchmarkTransportDelta(b *testing.B) {
 			b.StopTimer()
 			b.ReportMetric(float64(run.egress)/1e6, "egress-MB/op")
 			if !arm.disable {
-				b.ReportMetric(run.stats.Comm.HitRate()*100, "%cache-hit")
-				b.ReportMetric(float64(run.stats.Comm.FlushBlocks), "flush-blocks/op")
-				b.ReportMetric(float64(run.stats.Comm.FlushBlocks*mrQ*mrQ*8)/1e6, "flush-MB/op")
-				b.ReportMetric(float64(run.stats.Comm.DirtyPeak), "dirty-peak")
+				b.ReportMetric(run.comm.HitRate()*100, "%cache-hit")
+				b.ReportMetric(float64(run.comm.FlushBlocks), "flush-blocks/op")
+				b.ReportMetric(float64(run.comm.FlushBlocks*mrQ*mrQ*8)/1e6, "flush-MB/op")
+				b.ReportMetric(float64(run.comm.DirtyPeak), "dirty-peak")
 				pr := core.Problem{R: mrR, S: mrS, T: mrT, Q: mrQ}
 				b.ReportMetric(measuredOverLowerBound(run, pr, chunks), "x-lower-bound")
 			}
@@ -285,7 +428,7 @@ func measuredOverLowerBound(run transportRun, pr core.Problem, chunks []*sim.Chu
 	}
 	mem := engine.DefaultCacheBlocks + maxFootprint
 	bound := bounds.LowerBoundLoomisWhitney(mem) * float64(pr.Updates())
-	measured := float64(run.stats.Comm.BlocksShipped + run.stats.Comm.CDown + run.stats.Comm.CUp)
+	measured := float64(run.comm.BlocksShipped + run.comm.CDown + run.comm.CUp)
 	return measured / bound
 }
 
@@ -314,16 +457,16 @@ func TestResultPathLowerBound(t *testing.T) {
 		}
 	}
 	pr := core.Problem{R: mrR, S: mrS, T: mrT, Q: mrQ}
-	if fb := run.stats.Comm.FlushBlocks; fb != int64(pr.CBlocks()) {
+	if fb := run.comm.FlushBlocks; fb != int64(pr.CBlocks()) {
 		t.Fatalf("flushed %d blocks, want every C tile exactly once (%d)", fb, pr.CBlocks())
 	}
-	if cd := run.stats.Comm.CDown; cd != 0 {
+	if cd := run.comm.CDown; cd != 0 {
 		t.Fatalf("shipped %d C payloads down; a zero C must ride the CZero flag", cd)
 	}
 	x := measuredOverLowerBound(run, pr, chunks)
 	t.Logf("max-reuse: measured/lower-bound = %.2fx (shipped %d, C down %d, C up %d, dirty peak %d)",
-		x, run.stats.Comm.BlocksShipped, run.stats.Comm.CDown, run.stats.Comm.CUp,
-		run.stats.Comm.DirtyPeak)
+		x, run.comm.BlocksShipped, run.comm.CDown, run.comm.CUp,
+		run.comm.DirtyPeak)
 	if x >= 4 {
 		t.Fatalf("measured communication is %.2fx the lower bound, want < 4x", x)
 	}
@@ -346,7 +489,7 @@ func TestDeltaEgressReduction(t *testing.T) {
 	// Both arms use dense per-chunk results: this pin isolates the delta
 	// operand protocol (the result path has its own acceptance pin in
 	// TestResultPathLowerBound).
-	measure := func(disable bool) (int64, engine.MasterStats) {
+	measure := func(disable bool) (int64, transportRun) {
 		work := c0.Clone()
 		run := runTransportOnce(t, ln, work, a, bb, chunks, engine.NewBlockPool(), disable, false)
 		got := work.Assemble()
@@ -357,24 +500,24 @@ func TestDeltaEgressReduction(t *testing.T) {
 				}
 			}
 		}
-		return run.egress, run.stats
+		return run.egress, run
 	}
 	full, fullStats := measure(true)
 	delta, deltaStats := measure(false)
 	drop := 1 - float64(delta)/float64(full)
 	t.Logf("egress: full=%d bytes, delta=%d bytes, drop=%.1f%% (skipped %d of %d operand blocks)",
-		full, delta, drop*100, deltaStats.Comm.BlocksSkipped,
-		deltaStats.Comm.BlocksShipped+deltaStats.Comm.BlocksSkipped)
+		full, delta, drop*100, deltaStats.comm.BlocksSkipped,
+		deltaStats.comm.BlocksShipped+deltaStats.comm.BlocksSkipped)
 	if drop < 0.40 {
 		t.Fatalf("delta protocol cut egress by %.1f%%, want ≥ 40%%", drop*100)
 	}
 	// The logical communication volume (the paper's CCR numerator) must
 	// be identical: deltas change what needs payload, not the protocol.
-	if fullStats.Blocks != deltaStats.Blocks {
-		t.Fatalf("logical blocks differ: full=%d delta=%d", fullStats.Blocks, deltaStats.Blocks)
+	if fullStats.blocks != deltaStats.blocks {
+		t.Fatalf("logical blocks differ: full=%d delta=%d", fullStats.blocks, deltaStats.blocks)
 	}
-	if fullStats.Comm.BlocksSkipped != 0 {
-		t.Fatalf("full protocol skipped %d blocks", fullStats.Comm.BlocksSkipped)
+	if fullStats.comm.BlocksSkipped != 0 {
+		t.Fatalf("full protocol skipped %d blocks", fullStats.comm.BlocksSkipped)
 	}
 }
 

@@ -1,7 +1,7 @@
 // Command mmserve runs the long-running fault-tolerant cluster scheduler:
-// it accepts mwworker processes (-cluster mode) over TCP, takes concurrent
-// matrix-product and LU job submissions, detects dead workers by heartbeat
-// expiry, and reschedules their lost work onto the survivors.
+// it accepts mwworker processes over TCP, takes concurrent matrix-product
+// and LU job submissions, detects dead workers by heartbeat expiry, and
+// reschedules their lost work onto the survivors.
 //
 // With -store it is crash-safe: every job acceptance, committed chunk and
 // terminal state is journaled to an fsync'd write-ahead log before being

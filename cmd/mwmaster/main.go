@@ -1,7 +1,9 @@
-// Command mwmaster runs the distributed matrix-product master: it listens
-// for mwworker processes, distributes C ← C + A·B with the demand-driven
-// one-port protocol, verifies the result against a local reference when
-// -verify is set, and prints a summary line.
+// Command mwmaster runs one distributed matrix product: it serves
+// C ← C + A·B as a one-job cluster (the same scheduler and wire protocol
+// as mmserve), waits for -workers mwworker processes to register, runs
+// the job with the demand-driven one-port protocol, shuts the workers
+// down, verifies the result against a local reference when -verify is
+// set, and prints a summary line.
 package main
 
 import (
@@ -9,10 +11,9 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"time"
 
-	"repro/internal/matrix"
-	"repro/internal/netmw"
-	"repro/internal/platform"
+	"repro/pkg/matmul"
 )
 
 func fatalUsage(format string, args ...any) {
@@ -45,34 +46,35 @@ func main() {
 	if *memMB < 1 {
 		fatalUsage("-mem must be ≥ 1 MiB, got %d", *memMB)
 	}
-	m := platform.MemoryBlocks(int64(*memMB)<<20, *q)
-	mu := platform.MuOverlap(m)
+	m := matmul.MemoryBlocks(int64(*memMB)<<20, *q)
+	mu := matmul.MuOverlap(m)
 	if mu < 1 {
 		fatalUsage("-mem %d MiB too small for q=%d (needs µ²+4µ ≤ m)", *memMB, *q)
 	}
 
-	ad := matrix.NewDense(*n, *n)
-	bd := matrix.NewDense(*n, *n)
-	cd := matrix.NewDense(*n, *n)
-	matrix.DeterministicFill(ad, 1)
-	matrix.DeterministicFill(bd, 2)
-	matrix.DeterministicFill(cd, 3)
-	var ref *matrix.Dense
+	ad := matmul.NewDense(*n, *n)
+	bd := matmul.NewDense(*n, *n)
+	cd := matmul.NewDense(*n, *n)
+	matmul.DeterministicFill(ad, 1)
+	matmul.DeterministicFill(bd, 2)
+	matmul.DeterministicFill(cd, 3)
+	var ref *matmul.Dense
 	if *verify {
 		ref = cd.Clone()
-		matrix.MulNaive(ref, ad, bd)
+		matmul.MulReference(ref, ad, bd)
 	}
 
-	a := matrix.Partition(ad, *q)
-	b := matrix.Partition(bd, *q)
-	c := matrix.Partition(cd, *q)
+	a := matmul.Partition(ad, *q)
+	b := matmul.Partition(bd, *q)
+	c := matmul.Partition(cd, *q)
 
 	fmt.Printf("mwmaster: listening on %s for %d workers (n=%d q=%d µ=%d)\n", *addr, *workers, *n, *q, mu)
-	rep, err := netmw.Serve(c, a, b, netmw.MasterConfig{Addr: *addr, Workers: *workers, Mu: mu})
+	res, err := matmul.ServeTCP(c, a, b, *addr, *workers, mu)
 	if err != nil {
 		log.Fatalf("serve: %v", err)
 	}
-	fmt.Printf("mwmaster: done in %v, %d blocks through the port\n", rep.Elapsed, rep.Result.Blocks)
+	elapsed := time.Duration(res.Makespan * float64(time.Second))
+	fmt.Printf("mwmaster: done in %v, %d blocks through the port\n", elapsed, res.Blocks)
 	if *verify {
 		got := c.Assemble()
 		diff := got.MaxDiff(ref)

@@ -1,11 +1,8 @@
-// Command mwworker runs one distributed matrix-product worker.
-//
-// Against an mwmaster (the default, single-job mode) it serves chunks
-// with the demand-driven protocol and exits when the master says goodbye.
-// With -cluster it joins a long-running mmserve scheduler instead:
-// registering under a stable name, heartbeating, serving tasks from many
-// concurrent jobs, and reconnecting (re-registering) when the connection
-// drops.
+// Command mwworker runs one distributed matrix-product worker: it joins
+// a cluster server — an mwmaster running one job, or a long-running
+// mmserve scheduler — registering under a stable name, heartbeating,
+// serving tasks, and reconnecting (re-registering) when the connection
+// drops. It exits when the server says goodbye.
 package main
 
 import (
@@ -25,18 +22,17 @@ func fatalUsage(format string, args ...any) {
 }
 
 func main() {
-	addr := flag.String("addr", "127.0.0.1:7070", "master (or -cluster server) address")
+	addr := flag.String("addr", "127.0.0.1:7070", "mwmaster or mmserve address")
 	memMB := flag.Int("mem", 64, "memory budget in MiB to advertise")
 	q := flag.Int("q", 64, "block size used to convert the budget to blocks")
 	stage := flag.Int("stage", 2, "staging update sets (1 = no overlap, 2 = double buffering)")
 	cores := flag.Int("cores", 0, "kernel goroutines per block-update sweep (0 = one per core)")
-	prefetch := flag.Bool("prefetch", true, "receive the next chunk/task while the current one computes")
-	slots := flag.Int("slots", 2, "cluster: tasks pipelined concurrently (1 disables task prefetch)")
-	clusterMode := flag.Bool("cluster", false, "serve an mmserve cluster scheduler instead of a one-shot master")
-	name := flag.String("name", "", "cluster: stable worker name (default host:pid)")
-	hbEvery := flag.Duration("hb", 2*time.Second, "cluster: heartbeat cadence")
-	reconnect := flag.Int("reconnect", 10, "cluster: reconnect attempts after a connection loss")
-	backoff := flag.Duration("backoff", time.Second, "cluster: pause between reconnect attempts")
+	prefetch := flag.Bool("prefetch", true, "receive the next task while the current one computes")
+	slots := flag.Int("slots", 2, "tasks pipelined concurrently (1 disables task prefetch)")
+	name := flag.String("name", "", "stable worker name (default host:pid:n)")
+	hbEvery := flag.Duration("hb", 2*time.Second, "heartbeat cadence")
+	reconnect := flag.Int("reconnect", 10, "reconnect attempts after a connection loss")
+	backoff := flag.Duration("backoff", time.Second, "pause between reconnect attempts")
 	flag.Parse()
 
 	if flag.NArg() > 0 {
@@ -66,55 +62,32 @@ func main() {
 	if *backoff < 0 {
 		fatalUsage("-backoff must be ≥ 0, got %v", *backoff)
 	}
-	if *clusterMode && *hbEvery <= 0 {
+	if *hbEvery <= 0 {
 		// A silent worker is indistinguishable from a dead one: the
 		// server's expiry sweep would declare an idle beaconless worker
-		// lost, so heartbeats are mandatory in cluster mode.
-		fatalUsage("-hb must be positive in cluster mode, got %v", *hbEvery)
+		// lost, so heartbeats are mandatory.
+		fatalUsage("-hb must be positive, got %v", *hbEvery)
 	}
 	m := platform.MemoryBlocks(int64(*memMB)<<20, *q)
 	if m < 1 {
 		fatalUsage("-mem %d MiB holds no %d×%d blocks", *memMB, *q, *q)
 	}
 
-	if *clusterMode {
-		wn := *name
-		if wn == "" {
-			host, err := os.Hostname()
-			if err != nil {
-				host = "worker"
-			}
-			wn = fmt.Sprintf("%s:%d", host, os.Getpid())
-		}
-		ws := *slots
-		if !*prefetch {
-			ws = 1 // no task pipelining without prefetch
-		}
-		rep, err := netmw.RunClusterWorker(netmw.ClusterWorkerConfig{
-			Addr: *addr, Name: wn, Memory: m, StageCap: *stage,
-			Slots: ws, Cores: *cores,
-			HeartbeatEvery: *hbEvery, Reconnect: *reconnect, Backoff: *backoff,
-		})
-		if err != nil {
-			fmt.Fprintf(os.Stderr, "mwworker: %v\n", err)
-			os.Exit(1)
-		}
-		fmt.Printf("mwworker: %s served %d tasks, %d block updates over %d sessions\n",
-			wn, rep.Tasks, rep.Updates, rep.Sessions)
-		fmt.Printf("mwworker: operand cache: %d blocks served locally, %.1f MiB never re-fetched\n",
-			rep.CacheHits, float64(rep.BytesSaved)/(1<<20))
-		return
+	ws := *slots
+	if !*prefetch {
+		ws = 1 // no task pipelining without prefetch
 	}
-
-	rep, err := netmw.RunWorker(netmw.WorkerConfig{
-		Addr: *addr, Memory: m, StageCap: *stage,
-		Prefetch: *prefetch, Cores: *cores,
+	rep, err := netmw.RunClusterWorker(netmw.ClusterWorkerConfig{
+		Addr: *addr, Name: *name, Memory: m, StageCap: *stage,
+		Slots: ws, Cores: *cores,
+		HeartbeatEvery: *hbEvery, Reconnect: *reconnect, Backoff: *backoff,
 	})
 	if err != nil {
 		fmt.Fprintf(os.Stderr, "mwworker: %v\n", err)
 		os.Exit(1)
 	}
-	fmt.Printf("mwworker: processed %d chunks, %d block updates\n", rep.Chunks, rep.Updates)
+	fmt.Printf("mwworker: served %d tasks, %d block updates over %d sessions\n",
+		rep.Tasks, rep.Updates, rep.Sessions)
 	fmt.Printf("mwworker: operand cache: %d blocks served locally, %.1f MiB never re-fetched\n",
 		rep.CacheHits, float64(rep.BytesSaved)/(1<<20))
 }

@@ -259,7 +259,7 @@ func (cl *Cluster) SubmitJob(spec JobSpec) (JobID, error) {
 // refuses the submission rather than accepting work that would not
 // survive a crash.
 func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (JobID, bool, error) {
-	if err := validateSpec(spec); err != nil {
+	if err := spec.Validate(); err != nil {
 		return 0, false, err
 	}
 	cl.mu.Lock()

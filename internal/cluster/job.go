@@ -209,7 +209,9 @@ type job struct {
 	vcache *verifyCache
 }
 
-func validateSpec(spec JobSpec) error {
+// Validate reports whether the spec describes a runnable job: µ ≥ 1
+// and operands of matching shapes. SubmitJob applies it on admission.
+func (spec JobSpec) Validate() error {
 	if spec.Mu < 1 {
 		return fmt.Errorf("cluster: µ must be ≥ 1, got %d", spec.Mu)
 	}

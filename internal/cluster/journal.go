@@ -324,7 +324,7 @@ func (cl *Cluster) applyEventLocked(rec []byte, rs *RecoveryStats) error {
 		if cl.jobs[id] != nil {
 			return nil // second replay of the same journal
 		}
-		if err := validateSpec(spec); err != nil {
+		if err := spec.Validate(); err != nil {
 			return err
 		}
 		j := newJob(id, spec, adaptive)

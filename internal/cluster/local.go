@@ -1,6 +1,10 @@
 package cluster
 
 import (
+	"fmt"
+	"sync"
+	"time"
+
 	"repro/internal/engine"
 )
 
@@ -46,17 +50,84 @@ func RunLocalWorker(cl *Cluster, cfg LocalWorkerConfig) error {
 		PullSets: true,
 		Pool:     cl.pool,
 	})
+	// The worker's exit closed the pipe (or followed the feeder's Bye),
+	// so the feeder is done or about to be — the receive cannot block
+	// for long, and once it returns the session's accounting is in.
+	fe := <-feedErr
 	if err != nil {
 		// Surface the scheduler's verdict (dead, replaced, a TaskSet or
 		// Complete failure, …) rather than the pipe closure it caused.
-		// The worker's exit closed the pipe, so the feeder is done or
-		// about to be — the receive cannot block for long.
 		if schedErr := feed.TakeNextErr(); schedErr != nil {
 			return schedErr
 		}
-		if fe := <-feedErr; fe != nil {
+		if fe != nil {
 			return fe
 		}
 	}
 	return err
+}
+
+// JobRun is the outcome of a one-job run (RunJob, or the TCP server's
+// RunJob): the job's final status, the worker registry once every
+// worker has exited, and the wall time from submission to completion.
+type JobRun struct {
+	Status  Status
+	Workers []WorkerInfo
+	Elapsed time.Duration
+}
+
+// RunJob runs spec as the only job of a fresh in-process cluster: one
+// RunLocalWorker per entry of workers (an empty ID becomes w1, w2, …;
+// Joined is managed here), then SubmitJob once every worker has
+// registered, Wait and Close. A job that failed returns its error. A
+// single job is just a cluster running one job.
+func RunJob(spec JobSpec, workers []LocalWorkerConfig) (JobRun, error) {
+	if len(workers) == 0 {
+		return JobRun{}, fmt.Errorf("cluster: need at least one worker")
+	}
+	if err := spec.Validate(); err != nil {
+		return JobRun{}, err
+	}
+	cl := New(Config{})
+	var wg sync.WaitGroup
+	for i, wc := range workers {
+		if wc.ID == "" {
+			wc.ID = fmt.Sprintf("w%d", i+1)
+		}
+		joined, exited := make(chan struct{}), make(chan struct{})
+		wc.Joined = joined
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			defer close(exited)
+			RunLocalWorker(cl, wc) // a failed worker's tasks requeue
+		}()
+		select {
+		case <-joined:
+		case <-exited:
+		}
+	}
+	start := time.Now()
+	id, err := cl.SubmitJob(spec)
+	if err == nil {
+		_, err = cl.Wait(id)
+	}
+	elapsed := time.Since(start)
+	cl.Close()
+	wg.Wait()
+	if err != nil {
+		return JobRun{}, err
+	}
+	return cl.RunOf(id, elapsed)
+}
+
+// RunOf collects the JobRun of a finished job that took elapsed; a job
+// that failed returns its error. Sessions report their communication
+// totals as they exit, so callers read it after every session ended.
+func (cl *Cluster) RunOf(id JobID, elapsed time.Duration) (JobRun, error) {
+	st, err := cl.JobStatus(id)
+	if err == nil && st.State != Done {
+		err = st.Err
+	}
+	return JobRun{Status: st, Workers: cl.Workers(), Elapsed: elapsed}, err
 }

@@ -3,6 +3,7 @@ package engine
 import (
 	"errors"
 	"fmt"
+	"sync/atomic"
 )
 
 // Feed is the scheduler behind a RunFeeder session: it produces
@@ -127,13 +128,13 @@ type feederEvent struct {
 // dispatcher goroutine keeps up to Slots assignments in flight (pulled
 // from the feed), the reader surfaces worker frames, and the event loop
 // routes set requests to the oldest incomplete assignment and retires
-// results — the same demand-driven staging discipline RunMaster serves,
-// with the scheduler deciding what each assignment is.
+// results, with the scheduler deciding what each assignment is.
 //
 // On a clean feed shutdown the worker's in-flight assignments drain
 // before Bye lands, so a pipelined worker sees a goodbye at an
-// assignment boundary, never a mid-task reset. Any transport error
-// declares the worker lost (feed.Lost requeues what it held).
+// assignment boundary, never a mid-task reset; RunFeeder then returns
+// nil. Any transport error declares the worker lost (feed.Lost requeues
+// what it held) and is returned, as is a protocol violation.
 //
 // Update sets the feed materializes are rewritten into deltas against
 // the session's mirror of the worker's resident operand cache (see
@@ -152,15 +153,19 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 	}()
 
 	events := make(chan feederEvent, 16)
+	// readErr is why the reader stopped, published by the close of
+	// events; bye marks a session the dispatcher ended cleanly, whose
+	// closing transport error is expected.
+	var readErr error
+	var bye atomic.Bool
 	// On any session exit, drain until the reader closes the channel
 	// (Close right after unblocks it), so a peer that pipelined extra
-	// frames can't strand the reader on a full channel forever.
+	// frames can't strand the reader on a full channel forever — and so
+	// feed.Lost has fired by the time RunFeeder returns.
 	defer func() {
 		tr.Close()
-		go func() {
-			for range events {
-			}
-		}()
+		for range events {
+		}
 	}()
 	go func() {
 		defer close(events)
@@ -171,20 +176,18 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 		for {
 			m, err := tr.Recv()
 			if err != nil {
+				readErr = err
 				return
 			}
 			switch m := m.(type) {
 			case *Request:
-				if m.Kind != ReqSet {
-					tr.Close()
-					return
-				}
 				events <- feederEvent{req: true}
 			case *Result:
 				events <- feederEvent{result: m}
 			case *FlushResult:
 				events <- feederEvent{flush: m}
 			default:
+				readErr = fmt.Errorf("engine: feeder got unexpected %T", m)
 				tr.Close()
 				return
 			}
@@ -232,6 +235,7 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 						return
 					}
 				}
+				bye.Store(true)
 				tr.Send(Bye{}) // the worker should not retry
 				tr.Close()
 				return
@@ -400,5 +404,8 @@ func RunFeeder(tr Transport, feed Feed, cfg FeederConfig) (fstats FeederStats, e
 	// events closed: the session ended (clean Bye drain or connection
 	// death); the reader already declared the worker lost, requeuing
 	// everything still in outq.
-	return fstats, nil
+	if bye.Load() {
+		return fstats, nil
+	}
+	return fstats, readErr
 }

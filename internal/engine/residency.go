@@ -56,7 +56,7 @@ func CacheBudget(mem, inflight int) int {
 // Block IDs name operand and result blocks within one session. An ID
 // packs the block role (A, B or C — an LU panel block shipped negated
 // in A-role must never collide with the same coordinates in B-role), a
-// job number (0 for the single-job runtimes) and the block coordinates.
+// job number (0 for static plan replay) and the block coordinates.
 // ID 0 is reserved for "untracked": the block is always shipped and
 // never cached (the valid bit keeps A(0,0) of job 0 from encoding as 0).
 const (
@@ -333,7 +333,7 @@ func (c *blockCache) release(pool *BlockPool) {
 // fully-materialized Sets into deltas. It is not safe for concurrent
 // use; each session's event loop owns its builder.
 type SetBuilder struct {
-	// Job scopes the block IDs (0 for the single-job runtimes).
+	// Job scopes the block IDs (0 for static plan replay).
 	Job uint32
 	// Mem is the worker's advertised memory in blocks (0 = unknown,
 	// which budgets DefaultCacheBlocks).
@@ -426,11 +426,11 @@ func newOpCache(pool *BlockPool) *opCache {
 }
 
 // resolve applies a delta Set against the cache: shipped blocks are
-// pinned (transferring ownership to the cache when the Set owns them),
-// manifest references are filled from residency, and the cache is then
-// evicted down to the announced capacity. Sets without a manifest pass
-// through untouched (the caller releases them after applying, as
-// before). It returns the number of blocks served from the cache.
+// pinned (transferring ownership to the cache when the Set owns them)
+// and manifest references are filled from residency. Sets without a
+// manifest pass through untouched (the caller releases them after
+// applying, as before). It returns the number of blocks served from the
+// cache. The caller applies the set, then settles the cache.
 func (oc *opCache) resolve(set *Set) (hits int64, err error) {
 	if len(set.AIDs) == 0 && len(set.BIDs) == 0 {
 		return 0, nil
@@ -448,8 +448,17 @@ func (oc *opCache) resolve(set *Set) (hits int64, err error) {
 		return hits, err
 	}
 	hits += h
-	oc.cache.evictTo(set.Cap, oc.pool)
 	return hits, nil
+}
+
+// settle evicts the cache down to the capacity a resolved Set announced,
+// once the update that read the Set's blocks is done: the master's
+// mirror evicted to the same capacity when it built the Set, so both
+// ends stay in lock-step for the next one.
+func (oc *opCache) settle(set *Set) {
+	if len(set.AIDs) != 0 || len(set.BIDs) != 0 {
+		oc.cache.evictTo(set.Cap, oc.pool)
+	}
 }
 
 func (oc *opCache) resolveHalf(blocks [][]float64, ids []uint64, owned bool) (hits int64, err error) {

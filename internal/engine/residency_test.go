@@ -147,6 +147,7 @@ func TestMirroredLRU(t *testing.T) {
 					t.Fatalf("mem=%d step %d: B[%d] unresolved", mem, step, j)
 				}
 			}
+			oc.settle(set)
 			releaseUncached(set, pool)
 			pool.PutSet(set)
 		}
@@ -212,6 +213,7 @@ func TestMirrorCapacityZero(t *testing.T) {
 		if _, err := oc.resolve(set); err != nil {
 			t.Fatal(err)
 		}
+		oc.settle(set)
 		releaseUncached(set, pool)
 		pool.PutSet(set)
 	}
@@ -220,6 +222,49 @@ func TestMirrorCapacityZero(t *testing.T) {
 	}
 	sb.Release()
 	oc.release()
+}
+
+// TestSettleKeepsSetBlocksUntilApplied: when the announced capacity is
+// smaller than the set, the blocks resolve pins must not return to the
+// pool before the update has read them — a concurrent pool user (a
+// staging reader, another in-process worker) would overwrite them and
+// corrupt C. Only settle, after the update, evicts.
+func TestSettleKeepsSetBlocksUntilApplied(t *testing.T) {
+	const q = 4
+	pool := NewBlockPool()
+	oc := newOpCache(pool)
+	defer oc.release()
+	var sb SetBuilder
+	sb.Mem = 1 // every set overflows the cache
+	ch := &sim.Chunk{Rows: 2, Cols: 2}
+	set := pool.GetSet()
+	set.Owned = true
+	for i := 0; i < 2; i++ {
+		set.A = append(set.A, pool.Get(q*q))
+		set.B = append(set.B, pool.Get(q*q))
+	}
+	StampIDs(set, 0, ch, 0)
+	set = sb.Filter(set, InflightFootprint(ch.Rows, ch.Cols), pool)
+	if set.Cap >= len(set.A)+len(set.B) {
+		t.Fatalf("cap %d does not force an eviction", set.Cap)
+	}
+	if _, err := oc.resolve(set); err != nil {
+		t.Fatal(err)
+	}
+	// Anything resolve released would come straight back out of the
+	// pool here (sync.Pool serves the releasing goroutine first).
+	for n := 0; n < 4; n++ {
+		got := pool.Get(q * q)
+		for _, blk := range append(append([][]float64{}, set.A...), set.B...) {
+			if &got[0] == &blk[0] {
+				t.Fatal("resolve recycled a block of the set before the update applied it")
+			}
+		}
+	}
+	oc.settle(set)
+	if n := len(oc.cache.m); n > set.Cap {
+		t.Fatalf("settle left %d blocks cached over the %d-block cap", n, set.Cap)
+	}
 }
 
 // TestResolveRejectsUnknownReference: a manifest reference to a block
@@ -368,6 +413,7 @@ func TestMirroredCachesNeverDiverge(t *testing.T) {
 						seed, step, id, blocks[i][0])
 				}
 			}
+			oc.settle(set)
 			releaseUncached(set, pool)
 			pool.PutSet(set)
 

@@ -8,18 +8,14 @@ import (
 	"repro/internal/blas"
 )
 
-// WorkerConfig configures one engine worker session. The Pull* flags
-// select the request discipline and are what distinguishes the three
-// runtimes' dialects of the one protocol:
+// WorkerConfig configures one engine worker session. PullSets selects
+// the request discipline:
 //
-//   - demand single-job (mw demand, netmw): PullAssigns, PullSets and
-//     PullResults all true — the worker announces every transfer it can
-//     accept and the master serves strictly first-come first-served;
-//   - cluster (netmw cluster worker, cluster local worker): only
-//     PullSets — the server pushes up to Slots tasks, results return
-//     unannounced;
-//   - static plan replay (mw static): none — the master's plan fixes
-//     the whole communication order, the worker just consumes.
+//   - cluster (netmw cluster worker, cluster local worker): PullSets —
+//     the server pushes up to Slots tasks, the worker requests update
+//     sets as staging slots free, results return unannounced;
+//   - static plan replay (mw): no pulls — the master's plan fixes the
+//     whole communication order, the worker just consumes.
 type WorkerConfig struct {
 	// StageCap is how many update sets the worker stages ahead of the
 	// compute (the paper's staging buffers; 1 or 2). Minimum 1.
@@ -37,9 +33,7 @@ type WorkerConfig struct {
 	// sequential kernel.
 	Spin time.Duration
 
-	PullAssigns bool // request assignments (and re-request after each)
-	PullSets    bool // request update sets as staging slots free
-	PullResults bool // announce each result pickup before sending it
+	PullSets bool // request update sets as staging slots free
 
 	// Pool receives the buffers of Owned messages once they are
 	// consumed; nil disables pooling.
@@ -104,7 +98,7 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 	go func() {
 		defer close(assigns)
 		defer close(sets)
-		// In every dialect an assignment's frame precedes its update
+		// In both dialects an assignment's frame precedes its update
 		// sets, so a set arriving when the announced assignments have no
 		// steps left is a protocol violation — erroring here keeps a
 		// master that floods unsolicited sets from wedging the session
@@ -153,7 +147,6 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 		tr.Close() // unblock the reader
 		return rep, err
 	}
-	request := func(kind ReqKind) error { return tr.Send(RequestOf(kind)) }
 
 	// The operand cache holds the session's resident A/B blocks, keyed
 	// by manifest ID, in exact mirror of the master's per-session LRU.
@@ -177,11 +170,6 @@ func RunWorker(tr Transport, cfg WorkerConfig) (WorkerReport, error) {
 		return tr.Send(&FlushResult{IDs: ids, Blocks: blocks, Owned: true, ComputeNS: sessComputeNS})
 	}
 
-	if cfg.PullAssigns {
-		if err := request(ReqAssign); err != nil {
-			return fail(err)
-		}
-	}
 assignments:
 	for {
 		var as *Assign
@@ -212,20 +200,13 @@ assignments:
 				return fail(err)
 			}
 		}
-		if cfg.PullAssigns && cfg.Slots > 1 {
-			// double-buffer: the next tile's transfer overlaps this
-			// tile's compute
-			if err := request(ReqAssign); err != nil {
-				return fail(err)
-			}
-		}
 		updates0 := rep.Updates
 		var asNS int64
 		pre := 0
 		if cfg.PullSets {
 			pre = min(cfg.StageCap, as.Steps)
 			for k := 0; k < pre; k++ {
-				if err := request(ReqSet); err != nil {
+				if err := tr.Send(RequestSet); err != nil {
 					return fail(err)
 				}
 			}
@@ -257,15 +238,17 @@ assignments:
 			}
 			if cfg.PullSets && k+pre < as.Steps {
 				// a staging slot just freed: request the next set
-				if err := request(ReqSet); err != nil {
+				if err := tr.Send(RequestSet); err != nil {
 					return fail(err)
 				}
 			}
 			// Resolve the delta against the resident cache BEFORE the
-			// update: shipped blocks pin (ownership moves to the cache),
-			// manifest references fill in from residency, and the cache
-			// evicts to the announced capacity in lock-step with the
-			// master's mirror.
+			// update: shipped blocks pin (ownership moves to the cache)
+			// and manifest references fill in from residency. The cache
+			// evicts to the announced capacity only AFTER the update, in
+			// lock-step with the master's mirror: a capacity smaller
+			// than the set would otherwise recycle blocks the update is
+			// still reading.
 			hits, err := cache.resolve(set)
 			if err != nil {
 				return fail(err)
@@ -278,15 +261,11 @@ assignments:
 				return fail(err)
 			}
 			asNS += time.Since(t0).Nanoseconds()
+			cache.settle(set)
 			releaseUncached(set, cfg.Pool)
 			cfg.Pool.PutSet(set)
 		}
 
-		if cfg.PullResults {
-			if err := request(ReqResult); err != nil {
-				return fail(err)
-			}
-		}
 		sessComputeNS += asNS
 		res := cfg.Pool.GetResult()
 		res.Updates, res.ComputeNS = rep.Updates-updates0, asNS
@@ -313,11 +292,6 @@ assignments:
 			return fail(err)
 		}
 		rep.Assignments++
-		if cfg.PullAssigns && cfg.Slots == 1 {
-			if err := request(ReqAssign); err != nil {
-				return fail(err)
-			}
-		}
 	}
 	// assigns closed: clean Bye, or reader error.
 	select {

@@ -12,6 +12,7 @@ import (
 
 	"repro/internal/algorithms"
 	"repro/internal/bounds"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/greedy"
 	"repro/internal/grid"
@@ -19,7 +20,6 @@ import (
 	"repro/internal/hetero"
 	"repro/internal/lu"
 	"repro/internal/matrix"
-	"repro/internal/mw"
 	"repro/internal/platform"
 	"repro/internal/stats"
 	"repro/internal/steady"
@@ -273,13 +273,17 @@ func Fig11(w io.Writer) error {
 	b := matrix.Partition(bd, q)
 
 	fmt.Fprintln(w, "Figure 11 — variation over 5 identical runs (goroutine runtime, demand-driven)")
+	workers := make([]cluster.LocalWorkerConfig, 4)
+	for i := range workers {
+		workers[i].Mem = 3*3 + 4*3 // the µ = 3 overlapped layout
+	}
 	var times []float64
 	for i := 0; i < runs; i++ {
 		cd := matrix.NewDense(r*q, sCols*q)
 		matrix.DeterministicFill(cd, 3)
 		c := matrix.Partition(cd, q)
 		start := time.Now()
-		_, err := mw.Multiply(c, a, b, mw.Config{Workers: 4, Mu: 3, StageCap: 2, Mode: mw.Demand})
+		_, err := cluster.RunJob(cluster.JobSpec{Kind: cluster.MatMul, C: c, A: a, B: b, Mu: 3}, workers)
 		if err != nil {
 			return err
 		}

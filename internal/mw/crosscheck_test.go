@@ -49,7 +49,7 @@ func TestCrossCheckSimulatorAccounting(t *testing.T) {
 		c := matrix.Partition(cd, tc.q)
 		plan2 := homog.BuildPlan(pl, pr, tc.p, tc.mu)
 		rep, err := Multiply(c, a, b, Config{
-			Workers: tc.p, Mu: tc.mu, StageCap: 2, Mode: Static, Plan: plan2,
+			Workers: tc.p, Mu: tc.mu, StageCap: 2, Plan: plan2,
 		})
 		if err != nil {
 			t.Fatalf("%+v: mw: %v", tc, err)
@@ -91,7 +91,7 @@ func TestQuickCrossCheck(t *testing.T) {
 		b := matrix.NewBlocked(pr.T, pr.S, pr.Q)
 		c := matrix.NewBlocked(pr.R, pr.S, pr.Q)
 		rep, err := Multiply(c, a, b, Config{
-			Workers: p, Mu: mu, StageCap: 2, Mode: Static,
+			Workers: p, Mu: mu, StageCap: 2,
 			Plan: homog.BuildPlan(pl, pr, p, mu),
 		})
 		if err != nil {

@@ -1,30 +1,24 @@
-// Package mw is the in-process master-worker runtime: it executes the
-// paper's schedules on real block matrices, with the master and each
-// worker running as goroutines and every transfer moving actual q×q
-// blocks.
+// Package mw is the in-process static master-worker runtime: it replays
+// the paper's static schedules on real block matrices, with the master
+// and each worker running as goroutines and every transfer moving
+// actual q×q blocks — the paper's one-port reproduction. The master
+// replays the communication order of a homog.Plan (Algorithm 1, or any
+// other static order such as the OMMOML plan), verified to compute
+// C ← C + A·B exactly. The demand-driven ODDOML discipline (§8.2) is the
+// cluster's: a single demand-driven job is cluster.RunJob.
 //
 // The runtime is a thin shell over the shared engine (internal/engine):
 // workers are engine.RunWorker goroutines behind engine.Pipe transports,
-// so the protocol logic — staging caps, demand FIFOs, chunk prefetch —
-// lives in exactly one place, shared with the TCP runtime and the
-// cluster service. Block compute rides the engine's chunk kernel
-// (blas.UpdateChunk / blas.ParallelUpdateChunk): the packed
-// register-blocked GEMM with chunk-level pack reuse, bit-exact with the
-// sequential reference at any Cores setting. The pipes are synchronous, so the one-port model
+// so the worker protocol — staging caps, the delta operand cache —
+// lives in exactly one place, shared with the cluster service. Block
+// compute rides the engine's chunk kernel (blas.UpdateChunk /
+// blas.ParallelUpdateChunk): the packed register-blocked GEMM with
+// chunk-level pack reuse, bit-exact with the sequential reference at
+// any Cores setting. The pipes are synchronous, so the one-port model
 // holds by construction: the master is a single sequential goroutine
 // whose sends block when a worker's staging area is full. Transfers are
 // zero-copy where safe (operand sets move by reference; C tiles are
 // copied through a block pool because the worker mutates them).
-//
-// Two driving modes are provided:
-//
-//   - Static: the master replays the communication order of a homog.Plan
-//     (Algorithm 1, or any other static order such as the OMMOML plan).
-//   - Demand: engine.RunMaster serves worker requests (chunk, update
-//     set, result pickup) in arrival order — the ODDOML discipline of
-//     §8.2.
-//
-// Both modes are verified to compute C ← C + A·B exactly.
 package mw
 
 import (
@@ -40,41 +34,20 @@ import (
 	"repro/internal/sim"
 )
 
-// Mode selects the master's driving discipline.
-type Mode int
-
-const (
-	// Static replays a fixed communication order.
-	Static Mode = iota
-	// Demand serves worker requests first-come first-served.
-	Demand
-)
-
 // Config configures a run.
 type Config struct {
 	Workers  int
 	Mu       int // chunk side in blocks
 	StageCap int // staging update sets per worker (1 or 2)
-	Mode     Mode
 	// Cores is the number of kernel goroutines each worker shards its
 	// block updates across (blas.ParallelUpdateChunk). 0 or 1 keeps the
 	// single-threaded kernel — the in-process runtime already runs many
 	// worker goroutines, so extra sharding is opt-in. Results are
 	// bit-identical either way.
 	Cores int
-	// Prefetch (demand mode only) double-buffers chunks: a worker
-	// requests its next C chunk before computing the current one, so the
-	// transfer overlaps the compute — the one-port model's overlap the
-	// paper assumes (§5's µ²+4µ layout reserves the staging space).
-	// Worker memory grows to two resident chunks. Ignored in Static
-	// mode, whose plan fixes the communication order.
-	Prefetch bool
-	// Plan supplies the static order; required for Static mode. If nil in
-	// Static mode, an Algorithm 1 plan over all workers is built.
+	// Plan supplies the static order. If nil, an Algorithm 1 plan over
+	// all workers is built.
 	Plan *homog.Plan
-	// SpinPerUpdate, when positive, adds artificial per-block-update spin
-	// time so tests can emulate slower processors deterministically.
-	SpinPerUpdate time.Duration
 }
 
 // Report summarizes a real execution.
@@ -109,16 +82,7 @@ func Multiply(c, a, b *matrix.Blocked, cfg Config) (Report, error) {
 	pr := core.Problem{R: c.BR, S: c.BC, T: a.BC, Q: a.Q}
 
 	start := time.Now()
-	var rep Report
-	var err error
-	switch cfg.Mode {
-	case Static:
-		rep, err = runStatic(c, a, b, pr, cfg)
-	case Demand:
-		rep, err = runDemand(c, a, b, pr, cfg)
-	default:
-		err = fmt.Errorf("mw: unknown mode %d", cfg.Mode)
-	}
+	rep, err := runStatic(c, a, b, pr, cfg)
 	if err != nil {
 		return rep, err
 	}
@@ -144,15 +108,10 @@ type workerSet struct {
 }
 
 // startWorkers launches one engine worker goroutine per pipe pair. The
-// Pull* flags select the dialect: all three for demand mode, none for
-// static replay (the plan fixes the communication order, so the workers
-// just consume transfers and return results).
-func startWorkers(n int, cfg Config, pull bool, pool *engine.BlockPool) *workerSet {
+// workers pull nothing: the plan fixes the communication order, so they
+// just consume transfers and return results.
+func startWorkers(n int, cfg Config, pool *engine.BlockPool) *workerSet {
 	ws := &workerSet{links: make([]engine.Transport, n), updates: make([]int64, n)}
-	slots := 1
-	if pull && cfg.Prefetch {
-		slots = 2
-	}
 	for w := 0; w < n; w++ {
 		master, worker := engine.Pipe()
 		ws.links[w] = master
@@ -160,10 +119,7 @@ func startWorkers(n int, cfg Config, pull bool, pool *engine.BlockPool) *workerS
 		go func(w int, tr engine.Transport) {
 			defer ws.wg.Done()
 			rep, _ := engine.RunWorker(tr, engine.WorkerConfig{
-				StageCap: cfg.StageCap, Slots: slots,
-				Cores: cfg.Cores, Spin: cfg.SpinPerUpdate,
-				PullAssigns: pull, PullSets: pull, PullResults: pull,
-				Pool: pool,
+				StageCap: cfg.StageCap, Slots: 1, Cores: cfg.Cores, Pool: pool,
 			})
 			ws.updates[w] = rep.Updates
 		}(w, worker)
@@ -191,7 +147,7 @@ func runStatic(c, a, b *matrix.Blocked, pr core.Problem, cfg Config) (Report, er
 		plan = homog.BuildPlan(dummyPlatform(cfg.Workers), pr, cfg.Workers, cfg.Mu)
 	}
 	pool := engine.NewBlockPool()
-	ws := startWorkers(cfg.Workers, cfg, false, pool)
+	ws := startWorkers(cfg.Workers, cfg, pool)
 
 	queues := make([][]*sim.Chunk, cfg.Workers)
 	for w := range queues {
@@ -207,7 +163,6 @@ func runStatic(c, a, b *matrix.Blocked, pr core.Problem, cfg Config) (Report, er
 	builders := make([]engine.SetBuilder, cfg.Workers)
 	var blocks int64
 
-	mcfg := engine.MasterConfig{CopyAssigns: true, Pool: pool}
 	for _, op := range plan.Ops {
 		w := op.Worker
 		if w < 0 || w >= cfg.Workers {
@@ -223,7 +178,7 @@ func runStatic(c, a, b *matrix.Blocked, pr core.Problem, cfg Config) (Report, er
 			active[w] = queues[w][0]
 			queues[w] = queues[w][1:]
 			step[w] = 0
-			if err := ws.links[w].Send(engine.MakeAssign(c, active[w], mcfg)); err != nil {
+			if err := ws.links[w].Send(makeAssign(c, active[w], pool)); err != nil {
 				ws.finish()
 				return Report{}, err
 			}
@@ -234,7 +189,7 @@ func runStatic(c, a, b *matrix.Blocked, pr core.Problem, cfg Config) (Report, er
 				ws.finish()
 				return Report{}, fmt.Errorf("mw: invalid SendAB to P%d", w+1)
 			}
-			set := builders[w].Filter(engine.MakeSet(a, b, ch, step[w], pool),
+			set := builders[w].Filter(makeSet(a, b, ch, step[w], pool),
 				engine.InflightFootprint(ch.Rows, ch.Cols), pool)
 			if err := ws.links[w].Send(set); err != nil {
 				ws.finish()
@@ -258,7 +213,7 @@ func runStatic(c, a, b *matrix.Blocked, pr core.Problem, cfg Config) (Report, er
 				ws.finish()
 				return Report{}, fmt.Errorf("mw: worker P%d sent %T, want a result", w+1, msg)
 			}
-			if err := engine.StoreResult(c, ch, res, pool); err != nil {
+			if err := storeResult(c, ch, res, pool); err != nil {
 				ws.finish()
 				return Report{}, err
 			}
@@ -278,29 +233,70 @@ func runStatic(c, a, b *matrix.Blocked, pr core.Problem, cfg Config) (Report, er
 	return rep, nil
 }
 
-// runDemand serves worker requests FIFO through the shared engine
-// master over pipe transports.
-func runDemand(c, a, b *matrix.Blocked, pr core.Problem, cfg Config) (Report, error) {
-	_, chunks := homog.ChunkGrid(pr, cfg.Mu)
-	pool := engine.NewBlockPool()
-	ws := startWorkers(cfg.Workers, cfg, true, pool)
-	stats, err := engine.RunMaster(c, a, b, chunks, ws.links, engine.MasterConfig{
-		CopyAssigns: true, Pool: pool,
-	})
-	ws.wg.Wait() // RunMaster already said Bye and closed the links
-	if err != nil {
-		return Report{}, err
-	}
-	return Report{
-		Result:    core.Result{Algorithm: "mw-demand", Blocks: stats.Blocks},
-		PerWorker: ws.updates,
-		Comm:      stats.Comm,
-	}, nil
-}
-
 // dummyPlatform builds a placeholder platform when only the worker count
 // matters (plan construction needs no costs in this runtime; real time is
 // measured, not modeled).
 func dummyPlatform(p int) *platform.Platform {
 	return platform.Homogeneous(p, 1, 1, 1<<20)
+}
+
+// makeAssign builds the Assign for a chunk: pooled copies of the C tile,
+// because the in-process worker mutates the blocks it receives and the
+// master matrix must stay clean until the result lands.
+func makeAssign(c *matrix.Blocked, ch *sim.Chunk, pool *engine.BlockPool) *engine.Assign {
+	as := pool.GetAssign()
+	as.ID = engine.AssignID{A: uint32(ch.ID)}
+	as.I0, as.J0 = ch.I0, ch.J0
+	as.Rows, as.Cols, as.Q, as.Steps = ch.Rows, ch.Cols, c.Q, len(ch.Steps)
+	for i := 0; i < ch.Rows; i++ {
+		for j := 0; j < ch.Cols; j++ {
+			as.Blocks = append(as.Blocks, pool.GetCopy(c.Block(ch.I0+i, ch.J0+j).Data))
+		}
+	}
+	as.Owned = true
+	return as
+}
+
+// makeSet builds the k-th update set for a chunk as shared references:
+// the operands are read-only, so no transport needs a copy. The Set
+// itself is recycled through the pool by its consumer. The manifest is
+// stamped with job-0 block IDs; a SetBuilder turns it into a delta.
+func makeSet(a, b *matrix.Blocked, ch *sim.Chunk, k int, pool *engine.BlockPool) *engine.Set {
+	set := pool.GetSet()
+	set.K = k
+	for i := 0; i < ch.Rows; i++ {
+		set.A = append(set.A, a.Block(ch.I0+i, k).Data)
+	}
+	for j := 0; j < ch.Cols; j++ {
+		set.B = append(set.B, b.Block(k, ch.J0+j).Data)
+	}
+	engine.StampIDs(set, 0, ch, k)
+	return set
+}
+
+// storeResult writes a returned tile back into C and releases the
+// buffers of an owned result — the explicit release on result-ack.
+func storeResult(c *matrix.Blocked, ch *sim.Chunk, res *engine.Result, pool *engine.BlockPool) error {
+	q := c.Q
+	if len(res.Blocks) != ch.Rows*ch.Cols {
+		return fmt.Errorf("mw: result has %d blocks, want %d", len(res.Blocks), ch.Rows*ch.Cols)
+	}
+	for _, blk := range res.Blocks {
+		if len(blk) != q*q {
+			return fmt.Errorf("mw: result block has %d elements, want %d", len(blk), q*q)
+		}
+	}
+	for i := 0; i < ch.Rows; i++ {
+		for j := 0; j < ch.Cols; j++ {
+			copy(c.Block(ch.I0+i, ch.J0+j).Data, res.Blocks[i*ch.Cols+j])
+		}
+	}
+	// The store consumes the result: release its buffers and recycle the
+	// message itself.
+	if res.Owned {
+		pool.PutAll(res.Blocks)
+	}
+	res.Blocks = nil
+	pool.PutResult(res)
+	return nil
 }

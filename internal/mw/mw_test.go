@@ -1,13 +1,16 @@
 package mw
 
 import (
+	"sync"
 	"testing"
 	"testing/quick"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/homog"
 	"repro/internal/matrix"
+	"repro/internal/netmw"
 	"repro/internal/platform"
 )
 
@@ -26,6 +29,56 @@ func build(t *testing.T, r, tt, s, q int) (a, b, c, want *matrix.Blocked) {
 		matrix.Partition(cd, q), matrix.Partition(ref, q)
 }
 
+// demand runs C ← C + A·B demand-driven, the discipline the static
+// runtime is checked against: a one-job in-process cluster.
+func demand(c, a, b *matrix.Blocked, workers, mu, cores int) (cluster.JobRun, error) {
+	fleet := make([]cluster.LocalWorkerConfig, workers)
+	for i := range fleet {
+		fleet[i] = cluster.LocalWorkerConfig{Mem: mu*mu + 4*mu, Cores: cores}
+	}
+	return cluster.RunJob(cluster.JobSpec{Kind: cluster.MatMul, C: c, A: a, B: b, Mu: mu}, fleet)
+}
+
+// demandTCP runs the same one-job cluster over loopback TCP with
+// pipelined cluster workers: slots tasks in flight per worker (2 is
+// chunk prefetch), stage staged sets, cores kernel shards and an
+// optional per-update spin emulating slower processors.
+func demandTCP(t *testing.T, c, a, b *matrix.Blocked, workers, mu, stage, slots, cores int, spin time.Duration) cluster.JobRun {
+	t.Helper()
+	srv, err := netmw.ServeCluster(cluster.New(cluster.Config{}), netmw.ClusterServerConfig{Addr: "127.0.0.1:0"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for i := 0; i < workers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, err := netmw.RunClusterWorker(netmw.ClusterWorkerConfig{
+				Addr: srv.Addr(), Memory: 2 * (mu*mu + 4*mu), StageCap: stage,
+				Slots: slots, Cores: cores, Spin: spin,
+			}); err != nil {
+				t.Errorf("worker: %v", err)
+			}
+		}()
+	}
+	run, err := srv.RunJob(workers, cluster.JobSpec{Kind: cluster.MatMul, C: c, A: a, B: b, Mu: mu})
+	wg.Wait()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return run
+}
+
+// tasksDone sums the tasks every worker completed.
+func tasksDone(run cluster.JobRun) int {
+	n := 0
+	for _, w := range run.Workers {
+		n += w.Done
+	}
+	return n
+}
+
 func TestStaticCorrectness(t *testing.T) {
 	for _, tc := range []struct{ r, tt, s, q, workers, mu, cap int }{
 		{4, 4, 4, 8, 1, 2, 2},
@@ -37,7 +90,7 @@ func TestStaticCorrectness(t *testing.T) {
 	} {
 		a, b, c, want := build(t, tc.r, tc.tt, tc.s, tc.q)
 		rep, err := Multiply(c, a, b, Config{
-			Workers: tc.workers, Mu: tc.mu, StageCap: tc.cap, Mode: Static,
+			Workers: tc.workers, Mu: tc.mu, StageCap: tc.cap,
 		})
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
@@ -51,73 +104,63 @@ func TestStaticCorrectness(t *testing.T) {
 	}
 }
 
+// TestDemandCorrectness runs the demand-driven discipline as a one-job
+// in-process cluster: exact product, every task done exactly once.
 func TestDemandCorrectness(t *testing.T) {
-	for _, tc := range []struct{ r, tt, s, q, workers, mu, cap int }{
-		{4, 4, 4, 8, 1, 2, 1},
-		{4, 4, 4, 8, 3, 2, 2},
-		{7, 3, 5, 4, 4, 2, 2}, // ragged
-		{6, 6, 6, 4, 2, 3, 1},
+	for _, tc := range []struct{ r, tt, s, q, workers, mu int }{
+		{4, 4, 4, 8, 1, 2},
+		{4, 4, 4, 8, 3, 2},
+		{7, 3, 5, 4, 4, 2}, // ragged
+		{6, 6, 6, 4, 2, 3},
 	} {
 		a, b, c, want := build(t, tc.r, tc.tt, tc.s, tc.q)
-		rep, err := Multiply(c, a, b, Config{
-			Workers: tc.workers, Mu: tc.mu, StageCap: tc.cap, Mode: Demand,
-		})
+		run, err := demand(c, a, b, tc.workers, tc.mu, 1)
 		if err != nil {
 			t.Fatalf("%+v: %v", tc, err)
 		}
 		if !c.Equal(want, 1e-9) {
 			t.Fatalf("%+v: wrong product", tc)
 		}
-		var sum int64
-		for _, u := range rep.PerWorker {
-			sum += u
-		}
-		if sum != int64(tc.r*tc.tt*tc.s) {
-			t.Fatalf("%+v: per-worker sum %d", tc, sum)
+		if n := tasksDone(run); n != run.Status.TasksTotal || n != run.Status.TasksDone {
+			t.Fatalf("%+v: workers did %d tasks, job has %d (%d done)", tc, n, run.Status.TasksTotal, run.Status.TasksDone)
 		}
 	}
 }
 
-// TestDemandPipelined drives the prefetch pipeline (next chunk streams
-// while the current one computes) with and without multi-core kernels,
-// asserting the exact product and the exact update count are preserved.
+// TestDemandPipelined drives the prefetch pipeline (two task slots: the
+// next chunk streams while the current one computes) with and without
+// multi-core kernels, asserting the exact product and that every task
+// is done exactly once.
 func TestDemandPipelined(t *testing.T) {
 	for _, tc := range []struct{ r, tt, s, q, workers, mu, cap, cores int }{
 		{4, 4, 4, 8, 1, 2, 1, 1}, // single worker drains the pool alone
 		{4, 4, 4, 8, 2, 2, 2, 2}, // multi-core kernels
 		{7, 3, 5, 4, 3, 2, 2, 4}, // ragged chunks
-		{6, 6, 6, 4, 2, 3, 1, 0}, // cores=0 keeps the sequential kernel
+		{6, 6, 6, 4, 2, 3, 1, 1}, // sequential kernel
 		{2, 2, 2, 8, 4, 1, 2, 3}, // more workers than chunks
 		{8, 5, 8, 4, 2, 8, 2, 2}, // chunk bigger than C rows
 	} {
 		a, b, c, want := build(t, tc.r, tc.tt, tc.s, tc.q)
-		rep, err := Multiply(c, a, b, Config{
-			Workers: tc.workers, Mu: tc.mu, StageCap: tc.cap, Mode: Demand,
-			Cores: tc.cores, Prefetch: true,
-		})
-		if err != nil {
-			t.Fatalf("%+v: %v", tc, err)
-		}
+		run := demandTCP(t, c, a, b, tc.workers, tc.mu, tc.cap, 2, tc.cores, 0)
 		if !c.Equal(want, 1e-9) {
 			t.Fatalf("%+v: wrong product", tc)
 		}
-		if rep.Result.Updates != int64(tc.r*tc.tt*tc.s) {
-			t.Fatalf("%+v: %d updates, want %d", tc, rep.Result.Updates, tc.r*tc.tt*tc.s)
+		if n := tasksDone(run); n != run.Status.TasksTotal {
+			t.Fatalf("%+v: workers did %d tasks, job has %d", tc, n, run.Status.TasksTotal)
 		}
 	}
 }
 
-// TestPrefetchMatchesUnprefetched pins bit-exactness: the pipelined run
-// must produce the identical floats as the plain demand run.
+// TestPrefetchMatchesUnprefetched pins bit-exactness: the pipelined,
+// multi-core TCP run must produce the identical floats as the plain
+// in-process demand run.
 func TestPrefetchMatchesUnprefetched(t *testing.T) {
 	a, b, c1, _ := build(t, 6, 4, 6, 8)
 	_, _, c2, _ := build(t, 6, 4, 6, 8)
-	if _, err := Multiply(c1, a, b, Config{Workers: 3, Mu: 2, StageCap: 2, Mode: Demand}); err != nil {
+	if _, err := demand(c1, a, b, 3, 2, 1); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := Multiply(c2, a, b, Config{Workers: 3, Mu: 2, StageCap: 2, Mode: Demand, Prefetch: true, Cores: 4}); err != nil {
-		t.Fatal(err)
-	}
+	demandTCP(t, c2, a, b, 3, 2, 2, 2, 4, 0)
 	d1, d2 := c1.Assemble(), c2.Assemble()
 	for i := 0; i < d1.Rows; i++ {
 		for j := 0; j < d1.Cols; j++ {
@@ -141,7 +184,7 @@ func TestStaticWithHoLMPlan(t *testing.T) {
 	}
 	plan := homog.BuildPlan(pl, pr, sel.P, sel.Mu)
 	rep, err := Multiply(c, a, b, Config{
-		Workers: 4, Mu: sel.Mu, StageCap: 2, Mode: Static, Plan: plan,
+		Workers: 4, Mu: sel.Mu, StageCap: 2, Plan: plan,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -157,7 +200,10 @@ func TestStaticWithHoLMPlan(t *testing.T) {
 func TestOperandsUntouched(t *testing.T) {
 	a, b, c, _ := build(t, 4, 4, 4, 8)
 	asum, bsum := a.Assemble().Checksum(), b.Assemble().Checksum()
-	if _, err := Multiply(c, a, b, Config{Workers: 2, Mu: 2, Mode: Demand, StageCap: 2}); err != nil {
+	if _, err := Multiply(c, a, b, Config{Workers: 2, Mu: 2, StageCap: 2}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := demand(c, a, b, 2, 2, 1); err != nil {
 		t.Fatal(err)
 	}
 	if a.Assemble().Checksum() != asum || b.Assemble().Checksum() != bsum {
@@ -168,18 +214,18 @@ func TestOperandsUntouched(t *testing.T) {
 func TestDemandUsesAllWorkersWhenSlow(t *testing.T) {
 	// with artificial per-update cost, all workers get enrolled
 	a, b, c, want := build(t, 8, 2, 8, 4)
-	rep, err := Multiply(c, a, b, Config{
-		Workers: 4, Mu: 2, StageCap: 2, Mode: Demand,
-		SpinPerUpdate: 200 * time.Microsecond,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
+	run := demandTCP(t, c, a, b, 4, 2, 2, 1, 1, 200*time.Microsecond)
 	if !c.Equal(want, 1e-9) {
 		t.Fatal("wrong product")
 	}
-	if rep.Result.Enrolled < 3 {
-		t.Fatalf("only %d workers enrolled with slow compute", rep.Result.Enrolled)
+	enrolled := 0
+	for _, w := range run.Workers {
+		if w.Done > 0 {
+			enrolled++
+		}
+	}
+	if enrolled < 3 {
+		t.Fatalf("only %d workers enrolled with slow compute", enrolled)
 	}
 }
 
@@ -195,15 +241,18 @@ func TestMultiplyErrors(t *testing.T) {
 	if _, err := Multiply(c, bad, b, Config{Workers: 1, Mu: 1}); err == nil {
 		t.Fatal("shape mismatch accepted")
 	}
-	if _, err := Multiply(c, a, b, Config{Workers: 1, Mu: 1, Mode: Mode(9)}); err == nil {
-		t.Fatal("unknown mode accepted")
+	if _, err := demand(c, a, b, 0, 1, 1); err == nil {
+		t.Fatal("demand run with 0 workers accepted")
+	}
+	if _, err := demand(c, bad, b, 1, 1, 1); err == nil {
+		t.Fatal("demand run with a shape mismatch accepted")
 	}
 }
 
 func TestBlocksAccounting(t *testing.T) {
 	// exact comm volume for divisible shapes: chunks·(2µ² + t·2µ).
 	a, b, c, _ := build(t, 4, 3, 4, 4)
-	rep, err := Multiply(c, a, b, Config{Workers: 2, Mu: 2, StageCap: 2, Mode: Static})
+	rep, err := Multiply(c, a, b, Config{Workers: 2, Mu: 2, StageCap: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,10 +263,11 @@ func TestBlocksAccounting(t *testing.T) {
 	}
 }
 
-// Property: both modes compute the exact same C as the naive product for
-// random shapes, worker counts, µ and staging depth.
+// Property: static replay and the demand-driven one-job cluster both
+// compute the exact same C as the naive product for random shapes,
+// worker counts, µ and staging depth.
 func TestQuickBothModes(t *testing.T) {
-	f := func(rRaw, sRaw, tRaw, wRaw, muRaw, capRaw uint8, mode bool) bool {
+	f := func(rRaw, sRaw, tRaw, wRaw, muRaw, capRaw uint8, useDemand bool) bool {
 		r := int(rRaw%5) + 1
 		s := int(sRaw%5) + 1
 		tt := int(tRaw%4) + 1
@@ -236,11 +286,12 @@ func TestQuickBothModes(t *testing.T) {
 		a := matrix.Partition(ad, q)
 		b := matrix.Partition(bd, q)
 		c := matrix.Partition(cd, q)
-		m := Static
-		if mode {
-			m = Demand
+		var err error
+		if useDemand {
+			_, err = demand(c, a, b, workers, mu, 1)
+		} else {
+			_, err = Multiply(c, a, b, Config{Workers: workers, Mu: mu, StageCap: cap})
 		}
-		_, err := Multiply(c, a, b, Config{Workers: workers, Mu: mu, StageCap: cap, Mode: m})
 		if err != nil {
 			return false
 		}

@@ -8,6 +8,8 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"os"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/blas"
@@ -17,10 +19,12 @@ import (
 
 // ClusterWorkerConfig configures one cluster worker process.
 type ClusterWorkerConfig struct {
-	Addr     string // mmserve address
-	Name     string // stable id, reused across reconnects
-	Memory   int    // advertised capacity in blocks
-	StageCap int    // update sets pre-requested per task (default 2)
+	Addr string // server address
+	// Name is the stable id, reused across reconnects; empty picks
+	// host:pid:n, unique within the process.
+	Name     string
+	Memory   int // advertised capacity in blocks
+	StageCap int // update sets pre-requested per task (default 2)
 	// Slots is how many tasks the worker pipelines: the server keeps up
 	// to Slots tasks in flight to this worker, so the next task's C tile
 	// streams down while the current one computes (default 1; 2 is the
@@ -73,18 +77,26 @@ type ClusterWorkerReport struct {
 	BytesSaved int64
 }
 
+// workerSeq numbers the default names of the workers a process runs.
+var workerSeq atomic.Int64
+
 // errSessionKilled reports the failAfterTasks test hook firing.
 var errSessionKilled = fmt.Errorf("netmw: cluster worker killed (test hook)")
 
-// RunClusterWorker joins an mmserve cluster, serves tasks until the
-// server says Bye, and reconnects (re-registering under the same name)
-// when the connection drops. Each session is a thin shell over the
+// RunClusterWorker joins a cluster server (mmserve, or the one-job
+// server of mwmaster and ServeTCP), serves tasks until the server says
+// Bye, and reconnects (re-registering under the same name) when the
+// connection drops. Each session is a thin shell over the
 // engine: a TCP transport speaking the cluster dialect (tasks pushed,
 // sets pulled, results unannounced) under engine.RunWorker, plus the
 // registration handshake and the heartbeat beacon.
 func RunClusterWorker(cfg ClusterWorkerConfig) (ClusterWorkerReport, error) {
 	if cfg.Name == "" {
-		return ClusterWorkerReport{}, fmt.Errorf("netmw: cluster worker needs a name")
+		host, err := os.Hostname()
+		if err != nil {
+			host = "worker"
+		}
+		cfg.Name = fmt.Sprintf("%s:%d:%d", host, os.Getpid(), workerSeq.Add(1))
 	}
 	if cfg.StageCap < 1 {
 		cfg.StageCap = 2
@@ -150,7 +162,7 @@ func clusterSession(cfg ClusterWorkerConfig, pool *engine.BlockPool, rep *Cluste
 		return 0, false, fmt.Errorf("netmw: dial %s: %w", cfg.Addr, err)
 	}
 	defer conn.Close()
-	tr := newClusterWorkerTransport(conn, nil, nil, pool)
+	tr := newClusterWorkerTransport(conn, pool)
 
 	ri := RegisterInfo{Name: cfg.Name, Mem: uint32(cfg.Memory), Slots: uint16(cfg.Slots)}
 	if err := tr.sendRegister(ri); err != nil {

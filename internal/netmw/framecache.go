@@ -5,8 +5,7 @@ import "sync"
 // frameCache caches the wire encoding of operand blocks by block ID so
 // a block broadcast to W workers is encoded once and the per-connection
 // send path can gather it straight into writev. Safe for concurrent use
-// (the cluster server shares one cache across all worker sessions; the
-// single-job master shares one across its fleet).
+// (the cluster server shares one cache across all worker sessions).
 //
 // Safety rests on the block-ID contract the delta protocol already
 // relies on: within a server (or run), a tracked ID names immutable

@@ -26,10 +26,10 @@ func FuzzDecodeFrame(f *testing.F) {
 	writeMsg(&ok, MsgSet, putFloats([]byte{0, 0, 0, 0}, []float64{1, 2, 3, 4}))
 	f.Add(ok.Bytes())
 	// truncated header / truncated payload / hostile length prefix
-	f.Add([]byte{byte(MsgJob)})
-	f.Add([]byte{byte(MsgJob), 10, 0, 0, 0, 1, 2})
+	f.Add([]byte{byte(MsgTask)})
+	f.Add([]byte{byte(MsgTask), 10, 0, 0, 0, 1, 2})
 	f.Add([]byte{byte(MsgTask), 0xff, 0xff, 0xff, 0xff})
-	f.Add([]byte{byte(MsgResult), 0, 0, 0, 0x10}) // 256 MiB prefix, no data
+	f.Add([]byte{byte(MsgTaskResult), 0, 0, 0, 0x10}) // 256 MiB prefix, no data
 	f.Fuzz(func(t *testing.T, data []byte) {
 		r := bytes.NewReader(data)
 		for {
@@ -69,8 +69,8 @@ func encodeSetPayload(prefix []byte, k, cacheCap uint32, ids []uint64, flags []b
 
 // encodeAssignBody appends the C-flag tail of an assignment frame to a
 // header: the uint16 flag count, the flag bytes, then the payload
-// doubles (the shipped tiles — or, with no flags, the legacy dense
-// body) and the payload CRC covering header and tail alike.
+// doubles (the shipped tiles — or, with no flags, the dense body) and
+// the payload CRC covering header and tail alike.
 func encodeAssignBody(hdr []byte, flags []byte, payload []float64) []byte {
 	out := appendCFlags(hdr, flags)
 	return appendCRC(putFloats(out, payload), 0)
@@ -96,29 +96,28 @@ func encodeFlushPayload(count uint32, ids []uint64, blocks [][]float64) []byte {
 // FuzzDecodeMsg drives every payload decoder of the wire protocol with
 // arbitrary bytes, selected by the first byte: malformed frames must
 // error, never panic and never allocate unboundedly. It covers the live
-// transport decode paths — the pooled worker-side decoders (jobs,
-// tasks, update sets via the geometry FIFO, flush requests have no
-// payload), the master-side flat result, flush-manifest and request
-// decoders, the server-side ones (registration, job submissions) and
-// the client-side job-done headers.
+// transport decode paths — the pooled worker-side decoders (tasks,
+// update sets via the geometry FIFO, flush requests have no payload),
+// the server-side task-result and flush-manifest decoders, registration
+// and job submissions, and the client-side job-done headers.
 func FuzzDecodeMsg(f *testing.F) {
 	pool := engine.NewBlockPool()
 	// Seed with one well-formed payload per decoder so the corpus starts
 	// on the happy paths. Assignment bodies carry the C-flag tail: count
-	// 0 is the legacy dense body, a count matching the geometry flags
-	// each tile as shipped / resident / zero.
-	jobHdr := ChunkHeader{ID: 1, I0: 0, J0: 0, Rows: 1, Cols: 1, T: 2, Q: 2}
-	jp := make([]byte, chunkHeaderLen)
-	jobHdr.encode(jp)
-	f.Add(append([]byte{0}, encodeAssignBody(jp, nil, []float64{1, 2, 3, 4})...))
-	f.Add(append([]byte{0}, encodeAssignBody(jp, []byte{engine.CShip}, []float64{1, 2, 3, 4})...))
-	f.Add(append([]byte{0}, encodeAssignBody(jp, []byte{engine.CZero}, nil)...))
-
+	// 0 is the dense body, a count matching the geometry flags each tile
+	// as shipped / resident / zero.
 	taskHdr := TaskHeader{Job: 1, Seq: 2, Attempt: 0, Steps: 1, I0: 0, J0: 0, Rows: 1, Cols: 1, Q: 2}
 	tp := make([]byte, taskHeaderLen)
 	taskHdr.encode(tp)
 	f.Add(append([]byte{1}, encodeAssignBody(tp, nil, []float64{1, 2, 3, 4})...))
+	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{engine.CShip}, []float64{1, 2, 3, 4})...))
+	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{engine.CZero}, nil)...))
 	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{engine.CResident}, nil)...))
+	// a 2×1 tile, two update steps, mixed flags: one shipped, one zero
+	wideHdr := TaskHeader{Job: 3, Seq: 1, Steps: 2, I0: 4, J0: 2, Rows: 2, Cols: 1, Q: 2}
+	wp2 := make([]byte, taskHeaderLen)
+	wideHdr.encode(wp2)
+	f.Add(append([]byte{1}, encodeAssignBody(wp2, []byte{engine.CShip, engine.CZero}, []float64{1, 2, 3, 4})...))
 	// malformed flag tails: an unknown flag state, a count that disagrees
 	// with the geometry, and a shipped tile whose payload is missing
 	f.Add(append([]byte{1}, encodeAssignBody(tp, []byte{7}, []float64{1, 2, 3, 4})...))
@@ -184,13 +183,14 @@ func FuzzDecodeMsg(f *testing.F) {
 	f.Add(append([]byte{4}, encodeSetPayload([]byte{0, 0, 1, 0}, 0, 8,
 		[]uint64{aid, bid}, []byte{1, 1}, 1, 1, []float64{1, 2})...))
 
-	// q-selector (q 2) then one flat result block (CRC past the selector)
-	flat := appendCRC(putFloats([]byte{1}, []float64{1, 2, 3, 4}), 1)
-	f.Add(append([]byte{7}, flat...))
-
+	// q-selector (q 2), then a CRC-sealed task result carrying one flat
+	// result block (CRC past the selector)
 	trh := TaskResultHeader{Job: 1, Seq: 2, Attempt: 3}
 	rp := make([]byte, taskResultHeaderLen)
 	trh.encode(rp)
+	flat := appendCRC(putFloats(append([]byte{1}, rp...), []float64{1, 2, 3, 4}), 1)
+	f.Add(append([]byte{7}, flat...))
+
 	f.Add(append([]byte{5}, rp...))
 
 	jd := JobDoneHeader{Job: 7, Code: 0}
@@ -203,14 +203,14 @@ func FuzzDecodeMsg(f *testing.F) {
 	// (non-C) tile id, a zero element count, trailing garbage after the
 	// last block — and one whose CRC itself is stale (corrupted body)
 	cid := engine.CBlockID(1, 0, 0)
-	f.Add(append([]byte{8}, appendCRC(encodeFlushPayload(1, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0)...))
-	f.Add(append([]byte{8}, appendCRC(encodeFlushPayload(3, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0)...))
-	f.Add(append([]byte{8}, appendCRC(encodeFlushPayload(1, []uint64{engine.ABlockID(0, 0, 0)}, [][]float64{{1, 2, 3, 4}}), 0)...))
-	f.Add(append([]byte{8}, appendCRC(encodeFlushPayload(1, []uint64{cid}, [][]float64{{}}), 0)...))
-	f.Add(append([]byte{8}, appendCRC(append(encodeFlushPayload(1, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0xee), 0)...))
+	f.Add(append([]byte{0}, appendCRC(encodeFlushPayload(1, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0)...))
+	f.Add(append([]byte{0}, appendCRC(encodeFlushPayload(3, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0)...))
+	f.Add(append([]byte{0}, appendCRC(encodeFlushPayload(1, []uint64{engine.ABlockID(0, 0, 0)}, [][]float64{{1, 2, 3, 4}}), 0)...))
+	f.Add(append([]byte{0}, appendCRC(encodeFlushPayload(1, []uint64{cid}, [][]float64{{}}), 0)...))
+	f.Add(append([]byte{0}, appendCRC(append(encodeFlushPayload(1, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0xee), 0)...))
 	stale := appendCRC(encodeFlushPayload(1, []uint64{cid}, [][]float64{{1, 2, 3, 4}}), 0)
 	stale[4] ^= 0x01
-	f.Add(append([]byte{8}, stale...))
+	f.Add(append([]byte{0}, stale...))
 
 	// hostile geometry: a job header declaring a huge matrix with no data
 	evil := JobHeader{Kind: WireMatMul, R: 1 << 30, T: 1 << 30, S: 1 << 30, Q: 1 << 30, Mu: 1}
@@ -222,20 +222,20 @@ func FuzzDecodeMsg(f *testing.F) {
 	wp := make([]byte, jobHeaderLen)
 	wrap.encode(wp)
 	f.Add(append([]byte{3}, wp...))
-	// and a chunk header doing the same (CRC-sealed so the hostile
+	// and a task header doing the same (CRC-sealed so the hostile
 	// dimensions reach the geometry checks, not the checksum gate)
-	evilJob := ChunkHeader{Rows: 1 << 31, Cols: 1 << 31, T: 1 << 31, Q: 1 << 31}
-	ejp := make([]byte, chunkHeaderLen)
-	evilJob.encode(ejp)
-	f.Add(append([]byte{0}, appendCRC(ejp, 0)...))
+	evilTask := TaskHeader{Rows: 1 << 31, Cols: 1 << 31, Steps: 1 << 31, Q: 1 << 31}
+	etp := make([]byte, taskHeaderLen)
+	evilTask.encode(etp)
+	f.Add(append([]byte{1}, appendCRC(etp, 0)...))
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) == 0 {
 			return
 		}
 		sel, payload := data[0], data[1:]
-		// checkAssign validates a successful assignment decode: the legacy
-		// dense body must yield one block per tile, a flag tail exactly the
+		// checkAssign validates a successful assignment decode: the dense
+		// body must yield one block per tile, a flag tail exactly the
 		// shipped tiles.
 		checkAssign := func(as *engine.Assign, rows, cols int) {
 			want := rows * cols
@@ -255,25 +255,7 @@ func FuzzDecodeMsg(f *testing.F) {
 					len(as.Blocks), want, rows, cols, len(as.CFlags))
 			}
 		}
-		switch sel % 9 {
-		case 0:
-			// the workerTransport MsgJob path: CRC strip, then header +
-			// flagged block body
-			payload, err := splitCRC(payload)
-			if err != nil {
-				return
-			}
-			var hdr ChunkHeader
-			if err := hdr.decode(payload); err != nil {
-				return
-			}
-			as := &engine.Assign{}
-			err = decodeAssignBlocks(as, payload[chunkHeaderLen:],
-				int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.T), pool)
-			if err == nil {
-				checkAssign(as, int(hdr.Rows), int(hdr.Cols))
-				pool.PutAll(as.Blocks)
-			}
+		switch sel % 8 {
 		case 1:
 			// the clusterWorkerTransport MsgTask path
 			payload, err := splitCRC(payload)
@@ -355,20 +337,25 @@ func FuzzDecodeMsg(f *testing.F) {
 			var hdr JobDoneHeader
 			hdr.decode(payload)
 		case 7:
-			// the masterTransport MsgResult path: CRC strip then flat blocks
-			// cut by the run's q, plus the one-byte request decoder
+			// the serverTransport MsgTaskResult path: CRC strip, header,
+			// then flat blocks cut by the task's q
 			if len(payload) < 1 {
 				return
 			}
 			q := int(payload[0]%8) + 1
-			if body, err := splitCRC(payload[1:]); err == nil {
-				if blocks, err := decodeFlatBlocks(nil, body, q, pool); err == nil {
-					pool.PutAll(blocks)
-				}
+			body, err := splitCRC(payload[1:])
+			if err != nil {
+				return
 			}
-			decodeRequest(payload)
-		case 8:
-			// the masterTransport MsgFlushResult path: a successful decode
+			var hdr TaskResultHeader
+			if err := hdr.decode(body); err != nil {
+				return
+			}
+			if blocks, err := decodeFlatBlocks(nil, body[taskResultHeaderLen:], q, pool); err == nil {
+				pool.PutAll(blocks)
+			}
+		case 0:
+			// the serverTransport MsgFlushResult path: a successful decode
 			// must carry a well-formed C-tile id and a plausible payload for
 			// every block it returns.
 			fr, err := decodeFlushResult(payload, pool)

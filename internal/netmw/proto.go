@@ -1,15 +1,16 @@
-// Package netmw is the distributed master-worker runtime: the same
-// demand-driven protocol as the in-process runtime (package mw), but with
-// workers in separate processes connected to the master over TCP. It is
-// the repository's stand-in for the paper's MPI deployment across real
-// machines.
+// Package netmw is the TCP face of the cluster service: workers in
+// separate processes register with a ClusterServer and speak the
+// engine's pushed-task protocol over framed connections, clients submit
+// jobs over the same framing. A single job is a cluster running one job
+// (ClusterServer.RunJob). It is the repository's stand-in for the
+// paper's MPI deployment across real machines.
 //
 // Wire format: every message is a 1-byte type, a 4-byte little-endian
 // payload length, and the payload. Float payloads are raw little-endian
-// IEEE-754 doubles. The master writes to all workers from a single
-// goroutine, so the one-port model holds at the application layer (§2.2;
-// the paper cites Saif & Parashar for the observation that large
-// asynchronous sends serialize anyway).
+// IEEE-754 doubles. Each connection's frames are written under one
+// lock; across workers the server relies on the observation the paper
+// cites from Saif & Parashar — large asynchronous sends serialize anyway
+// — for the one-port model (§2.2).
 package netmw
 
 import (
@@ -25,17 +26,12 @@ import (
 // MsgType tags a protocol message.
 type MsgType byte
 
-// Protocol message types.
+// Protocol message types. The values are the wire encoding; 1, 2 and 4
+// belonged to the retired single-job dialect and stay reserved, so a
+// peer sending one is rejected as unexpected.
 const (
-	// MsgHello is sent by a worker on connect: payload is its memory
-	// capacity in blocks (uint32).
-	MsgHello MsgType = iota + 1
-	// MsgJob carries a C chunk to a worker: ChunkHeader, a uint16 C-flag
-	// count (0 = legacy dense: every tile's payload follows), then for
-	// the resident protocol Rows*Cols flag bytes (engine.CShip /
-	// CResident / CZero) and the payloads of exactly the CShip tiles in
-	// row-major flag order.
-	MsgJob
+	_ MsgType = iota + 1 // 1: retired single-job hello
+	_                    // 2: retired single-job chunk
 	// MsgSet carries one delta update set: uint32 k, uint32 cache
 	// capacity, uint16 A-entry and B-entry counts (which must match the
 	// open assignment's Rows and Cols), then one 9-byte manifest entry
@@ -46,27 +42,22 @@ const (
 	// full (pre-delta) set is the degenerate case: every entry flagged,
 	// IDs 0.
 	MsgSet
-	// MsgResult returns a finished chunk: uint32 chunk id, then the
-	// blocks.
-	MsgResult
-	// MsgReq is a worker request: 1 byte kind (0 = chunk, 1 = update
-	// set, 2 = result pickup).
+	_ // 4: retired single-job result
+	// MsgReq is a worker request: 1 byte kind, ReqSet (update set).
 	MsgReq
 	// MsgBye tells a worker to shut down.
 	MsgBye
-
-	// Cluster-service messages (the long-running mmserve protocol, layered
-	// on the same framing).
 
 	// MsgRegister is sent by a cluster worker on connect (and on every
 	// reconnect): RegisterInfo payload.
 	MsgRegister
 	// MsgHeartbeat is a worker liveness beacon; empty payload.
 	MsgHeartbeat
-	// MsgTask assigns one cluster task: TaskHeader, then the same C-flag
-	// tail as MsgJob (uint16 count, flags, shipped payloads). The worker
-	// streams its update sets with MsgReq(ReqSet) as in the single-job
-	// protocol.
+	// MsgTask assigns one cluster task: TaskHeader, a uint16 C-flag
+	// count (0 = dense: every tile's payload follows), then for the
+	// resident protocol Rows*Cols flag bytes (engine.CShip / CResident /
+	// CZero) and the payloads of exactly the CShip tiles in row-major
+	// flag order. The worker streams its update sets with MsgReq(ReqSet).
 	MsgTask
 	// MsgTaskResult returns a finished task: TaskResultHeader then the
 	// updated C blocks.
@@ -77,8 +68,6 @@ const (
 	// MsgJobDone answers a submission: JobDoneHeader, then either the
 	// result blocks (Code 0) or an error string.
 	MsgJobDone
-
-	// Result-residency messages (PR: single-flush result path).
 
 	// MsgFlush asks the worker to drain its resident result cache; empty
 	// payload. The worker answers with MsgFlushResult.
@@ -91,24 +80,9 @@ const (
 	MsgFlushResult
 )
 
-// Request kinds carried by MsgReq.
-const (
-	ReqChunk byte = iota
-	ReqSet
-	ReqResult
-)
-
-// ChunkHeader describes a chunk on the wire.
-type ChunkHeader struct {
-	ID     uint32
-	I0, J0 uint32
-	Rows   uint32
-	Cols   uint32
-	T      uint32
-	Q      uint32
-}
-
-const chunkHeaderLen = 7 * 4
+// ReqSet is the request kind carried by MsgReq. Kinds 0 and 2 belonged
+// to the retired single-job dialect and are rejected.
+const ReqSet byte = 1
 
 // Delta-Set layout constants: the fixed header (k, cap, nA, nB) and the
 // per-block manifest entry (id, flag).
@@ -116,30 +90,6 @@ const (
 	setHeaderLen = 4 + 4 + 2 + 2
 	setEntryLen  = 8 + 1
 )
-
-func (h *ChunkHeader) encode(buf []byte) {
-	binary.LittleEndian.PutUint32(buf[0:], h.ID)
-	binary.LittleEndian.PutUint32(buf[4:], h.I0)
-	binary.LittleEndian.PutUint32(buf[8:], h.J0)
-	binary.LittleEndian.PutUint32(buf[12:], h.Rows)
-	binary.LittleEndian.PutUint32(buf[16:], h.Cols)
-	binary.LittleEndian.PutUint32(buf[20:], h.T)
-	binary.LittleEndian.PutUint32(buf[24:], h.Q)
-}
-
-func (h *ChunkHeader) decode(buf []byte) error {
-	if len(buf) < chunkHeaderLen {
-		return fmt.Errorf("netmw: short chunk header (%d bytes)", len(buf))
-	}
-	h.ID = binary.LittleEndian.Uint32(buf[0:])
-	h.I0 = binary.LittleEndian.Uint32(buf[4:])
-	h.J0 = binary.LittleEndian.Uint32(buf[8:])
-	h.Rows = binary.LittleEndian.Uint32(buf[12:])
-	h.Cols = binary.LittleEndian.Uint32(buf[16:])
-	h.T = binary.LittleEndian.Uint32(buf[20:])
-	h.Q = binary.LittleEndian.Uint32(buf[24:])
-	return nil
-}
 
 // RegisterInfo is a cluster worker's registration.
 type RegisterInfo struct {
@@ -327,8 +277,8 @@ func (h *JobDoneHeader) decode(buf []byte) error {
 	return nil
 }
 
-// Bulk float payloads — assignments (MsgJob/MsgTask), update sets
-// (MsgSet) and results (MsgResult/MsgTaskResult/MsgFlushResult) — carry
+// Bulk float payloads — assignments (MsgTask), update sets (MsgSet) and
+// results (MsgTaskResult/MsgFlushResult) — carry
 // a trailing 4-byte little-endian CRC32C over the rest of the payload.
 // The checksum classifies faults: a CRC mismatch is transport corruption
 // (the connection is severed and the work resent), while a CRC-clean
@@ -501,4 +451,107 @@ func decodeBlocksInto(dst [][]float64, buf []byte, nblocks, q int, pool *engine.
 		buf = buf[8*n:]
 	}
 	return dst, buf, nil
+}
+
+// decodeBlockListInto validates a wire-declared rows×cols×q geometry
+// plus a step count against the bytes actually present, then decodes
+// the rows·cols blocks of q² doubles into pooled buffers appended to a
+// recycled header — the dense body of an assignment frame.
+func decodeBlockListInto(dst [][]float64, rest []byte, rows, cols, q, steps int, pool *engine.BlockPool) ([][]float64, error) {
+	if err := checkGeometry(rows, cols, q); err != nil {
+		return nil, err
+	}
+	if steps < 0 || steps > maxWireDim {
+		return nil, fmt.Errorf("netmw: implausible step count %d", steps)
+	}
+	if err := checkBlockPayload(len(rest), rows*cols, q); err != nil {
+		return nil, err
+	}
+	blocks, _, err := decodeBlocksInto(dst, rest, rows*cols, q, pool)
+	return blocks, err
+}
+
+// decodeAssignBlocks decodes an assignment frame's body — the uint16
+// C-flag count, the flag bytes, then the payloads of exactly the
+// CShip-flagged tiles — into the recycled assignment. Count 0 is the
+// dense protocol: CFlags stays empty and every tile's payload follows.
+// The manifest is
+// validated strictly: the count must match the geometry, flags must
+// name a known residency state, and the payload must hold exactly the
+// shipped blocks — all checked before any geometry-sized allocation.
+func decodeAssignBlocks(as *engine.Assign, rest []byte, rows, cols, q, steps int, pool *engine.BlockPool) error {
+	if err := checkGeometry(rows, cols, q); err != nil {
+		return err
+	}
+	if len(rest) < 2 {
+		return fmt.Errorf("netmw: assignment payload missing C-flag count")
+	}
+	nflags := int(binary.LittleEndian.Uint16(rest))
+	rest = rest[2:]
+	if nflags == 0 {
+		var err error
+		as.Blocks, err = decodeBlockListInto(as.Blocks, rest, rows, cols, q, steps, pool)
+		return err
+	}
+	if nflags != rows*cols {
+		return fmt.Errorf("netmw: assignment carries %d C flags for a %dx%d tile", nflags, rows, cols)
+	}
+	if len(rest) < nflags {
+		return fmt.Errorf("netmw: assignment C-flag list truncated (%d of %d bytes)", len(rest), nflags)
+	}
+	ship := 0
+	for i, f := range rest[:nflags] {
+		switch f {
+		case engine.CShip:
+			ship++
+		case engine.CResident, engine.CZero:
+		default:
+			return fmt.Errorf("netmw: assignment C flag %d has unknown state %d", i, f)
+		}
+	}
+	as.CFlags = append(as.CFlags[:0], rest[:nflags]...)
+	rest = rest[nflags:]
+	if err := checkBlockPayload(len(rest), ship, q); err != nil {
+		return err
+	}
+	if len(rest) != ship*q*q*8 {
+		return fmt.Errorf("netmw: assignment payload is %d bytes for %d shipped blocks of q=%d",
+			len(rest), ship, q)
+	}
+	var err error
+	as.Blocks, _, err = decodeBlocksInto(as.Blocks, rest, ship, q, pool)
+	return err
+}
+
+// maxWireDim caps every wire-declared dimension (blocks per chunk side,
+// block size q, step counts). Any legal message under maxPayload stays
+// far below it, and the cap keeps hostile headers from overflowing the
+// size arithmetic below or provoking geometry-sized allocations for
+// bytes that never arrive.
+const maxWireDim = 1 << 15
+
+// checkGeometry validates a wire-declared chunk geometry.
+func checkGeometry(rows, cols, q int) error {
+	if rows < 1 || cols < 1 || rows > maxWireDim || cols > maxWireDim {
+		return fmt.Errorf("netmw: bad chunk geometry %dx%d blocks", rows, cols)
+	}
+	if q < 1 || q > maxWireDim {
+		return fmt.Errorf("netmw: bad block size q=%d", q)
+	}
+	return nil
+}
+
+// checkBlockPayload rejects payloads whose declared geometry does not
+// match the bytes on the wire, before any geometry-sized allocation.
+// Callers validate the factors of nblocks via checkGeometry first, so
+// the products below cannot overflow.
+func checkBlockPayload(have, nblocks, q int) error {
+	if q < 1 || q > maxWireDim || nblocks < 0 || nblocks > maxWireDim*maxWireDim {
+		return fmt.Errorf("netmw: bad block geometry (%d blocks of q=%d)", nblocks, q)
+	}
+	need := uint64(nblocks) * uint64(q) * uint64(q) * 8
+	if uint64(have) < need {
+		return fmt.Errorf("netmw: block payload %d bytes, need %d", have, need)
+	}
+	return nil
 }

@@ -70,6 +70,53 @@ func ServeCluster(cl *cluster.Cluster, cfg ClusterServerConfig) (*ClusterServer,
 	return s, nil
 }
 
+// RegisterTimeout bounds how long RunJob waits for its workers to
+// register.
+const RegisterTimeout = 2 * time.Minute
+
+// RunJob runs spec as the only job of the server's cluster: it waits
+// until workers workers have registered (at most RegisterTimeout),
+// submits the job and waits for it, then closes the cluster and then
+// the server — the teardown order in which every worker session drains
+// its in-flight tasks and receives Bye as its last frame. A job that
+// failed returns its error.
+func (s *ClusterServer) RunJob(workers int, spec cluster.JobSpec) (cluster.JobRun, error) {
+	err := s.awaitWorkers(workers, spec)
+	var id cluster.JobID
+	start := time.Now()
+	if err == nil {
+		if id, err = s.cl.SubmitJob(spec); err == nil {
+			_, err = s.cl.Wait(id)
+		}
+	}
+	elapsed := time.Since(start)
+	s.cl.Close()
+	s.Close()
+	if err != nil {
+		return cluster.JobRun{}, err
+	}
+	return s.cl.RunOf(id, elapsed)
+}
+
+// awaitWorkers validates a one-job run, then waits for its workers.
+func (s *ClusterServer) awaitWorkers(workers int, spec cluster.JobSpec) error {
+	if workers < 1 {
+		return fmt.Errorf("netmw: need at least one worker")
+	}
+	if err := spec.Validate(); err != nil {
+		return err
+	}
+	deadline := time.Now().Add(RegisterTimeout)
+	for s.cl.ClusterStats().WorkersAlive < workers {
+		if time.Now().After(deadline) {
+			return fmt.Errorf("netmw: %d of %d workers registered within %v",
+				s.cl.ClusterStats().WorkersAlive, workers, RegisterTimeout)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	return nil
+}
+
 // Addr returns the bound listen address.
 func (s *ClusterServer) Addr() string { return s.ln.Addr().String() }
 

@@ -453,124 +453,6 @@ func decodeSetPooled(payload []byte, g *geomFIFO, pool *engine.BlockPool) (*engi
 	return set, nil
 }
 
-// --- single-job master side ----------------------------------------------
-
-// masterTransport is the master end of the single-job TCP protocol: it
-// frames assignments as MsgJob and update sets as MsgSet, and surfaces
-// worker requests and results. MsgHello is consumed in Recv: the
-// advertised capacity is recorded and exposed through MemAdvertiser so
-// the engine can budget the worker's resident operand cache from it.
-type masterTransport struct {
-	*connIO
-	q        int
-	helloMem atomic.Int64
-}
-
-// NewMasterTransport wraps the master side of one worker connection.
-// q is the run's block edge, needed to cut flat result payloads back
-// into pooled blocks. pool may be nil (no recycling).
-func NewMasterTransport(conn net.Conn, q int, pool *engine.BlockPool) engine.Transport {
-	return newMasterTransport(conn, q, pool, nil)
-}
-
-// newMasterTransport is NewMasterTransport with a shared encode cache
-// (the master serving W workers encodes each broadcast block once).
-func newMasterTransport(conn net.Conn, q int, pool *engine.BlockPool, enc *frameCache) *masterTransport {
-	io := newConnIO(conn, nil, nil, pool)
-	io.enc = enc
-	return &masterTransport{connIO: io, q: q}
-}
-
-// AdvertisedMem implements engine.MemAdvertiser: the worker's hello
-// capacity in blocks (0 until the hello arrives; the hello precedes the
-// worker's first request on the connection, so any set the engine
-// builds sees the real value).
-func (t *masterTransport) AdvertisedMem() int { return int(t.helloMem.Load()) }
-
-func (t *masterTransport) Send(m engine.Msg) error {
-	switch m := m.(type) {
-	case *engine.Assign:
-		if err := checkCFlagsOnWire(m.CFlags); err != nil {
-			return err
-		}
-		hdr := ChunkHeader{
-			ID: m.ID.A, I0: uint32(m.I0), J0: uint32(m.J0),
-			Rows: uint32(m.Rows), Cols: uint32(m.Cols), T: uint32(m.Steps), Q: uint32(m.Q),
-		}
-		err := t.writeFrame(MsgJob, func(buf []byte) []byte {
-			off := len(buf)
-			buf = append(buf, make([]byte, chunkHeaderLen)...)
-			hdr.encode(buf[off:])
-			buf = appendCFlags(buf, m.CFlags)
-			buf = t.appendBlocks(buf, m.Blocks, m.Owned)
-			return appendCRC(buf, off)
-		})
-		if err == nil {
-			t.pool.PutAssign(m)
-		}
-		return err
-	case *engine.Set:
-		return t.sendSet(m)
-	case engine.Flush:
-		return t.writeFrame(MsgFlush, nil)
-	case engine.Bye:
-		return t.writeFrame(MsgBye, nil)
-	default:
-		return fmt.Errorf("netmw: master transport cannot send %T", m)
-	}
-}
-
-func (t *masterTransport) Recv() (engine.Msg, error) {
-	for {
-		mt, payload, err := t.readFrame()
-		if err != nil {
-			return nil, err
-		}
-		switch mt {
-		case MsgHello:
-			if len(payload) >= 4 {
-				t.helloMem.Store(int64(binary.LittleEndian.Uint32(payload)))
-			}
-			continue
-		case MsgReq:
-			req, err := decodeRequest(payload)
-			if err != nil {
-				return nil, err
-			}
-			return req, nil
-		case MsgResult:
-			if payload, err = splitCRC(payload); err != nil {
-				return nil, err
-			}
-			if len(payload) < 4 {
-				return nil, fmt.Errorf("netmw: short result payload (%d bytes)", len(payload))
-			}
-			id := binary.LittleEndian.Uint32(payload)
-			res := t.pool.GetResult()
-			var err error
-			res.Blocks, err = decodeFlatBlocks(res.Blocks, payload[4:], t.q, t.pool)
-			if err != nil {
-				return nil, err
-			}
-			res.ID = engine.AssignID{A: id}
-			res.Owned = true
-			return res, nil
-		case MsgFlushResult:
-			return decodeFlushResult(payload, t.pool)
-		default:
-			return nil, fmt.Errorf("netmw: unexpected message %d from worker", mt)
-		}
-	}
-}
-
-// decodeRequest validates a MsgReq payload.
-func decodeRequest(payload []byte) (*engine.Request, error) {
-	if len(payload) != 1 || payload[0] > ReqResult {
-		return nil, fmt.Errorf("netmw: bad request payload")
-	}
-	return engine.RequestOf(engine.ReqKind(payload[0])), nil
-}
-
 // decodeFlatBlocks cuts a flat float payload into pooled q²-blocks
 // appended to dst (a recycled header).
 func decodeFlatBlocks(dst [][]float64, rest []byte, q int, pool *engine.BlockPool) ([][]float64, error) {
@@ -583,96 +465,6 @@ func decodeFlatBlocks(dst [][]float64, rest []byte, q int, pool *engine.BlockPoo
 	}
 	blocks, _, err := decodeBlocksInto(dst, rest, len(rest)/bs, q, pool)
 	return blocks, err
-}
-
-// --- single-job worker side ----------------------------------------------
-
-// workerTransport is the worker end of the single-job TCP protocol.
-type workerTransport struct {
-	*connIO
-	geom geomFIFO
-}
-
-// NewWorkerTransport wraps the worker side of a connection to a
-// single-job master. pool may be nil.
-func NewWorkerTransport(conn net.Conn, pool *engine.BlockPool) engine.Transport {
-	return &workerTransport{connIO: newConnIO(conn, nil, nil, pool)}
-}
-
-// newWorkerTransport is NewWorkerTransport over existing buffered IO.
-func newWorkerTransport(conn net.Conn, r *bufio.Reader, w *bufio.Writer, pool *engine.BlockPool) *workerTransport {
-	return &workerTransport{connIO: newConnIO(conn, r, w, pool)}
-}
-
-// sendHello advertises the worker's capacity before the engine starts.
-func (t *workerTransport) sendHello(memory int) error {
-	return t.writeFrame(MsgHello, func(buf []byte) []byte {
-		var mb [4]byte
-		binary.LittleEndian.PutUint32(mb[:], uint32(memory))
-		return append(buf, mb[:]...)
-	})
-}
-
-func (t *workerTransport) Send(m engine.Msg) error {
-	switch m := m.(type) {
-	case *engine.Request:
-		return t.writeFrame(MsgReq, func(buf []byte) []byte {
-			return append(buf, byte(m.Kind))
-		})
-	case *engine.Result:
-		var idb [4]byte
-		binary.LittleEndian.PutUint32(idb[:], m.ID.A)
-		err := t.writeFrame(MsgResult, func(buf []byte) []byte {
-			off := len(buf)
-			buf = append(buf, idb[:]...)
-			buf = t.appendBlocks(buf, m.Blocks, m.Owned)
-			return appendCRC(buf, off)
-		})
-		if err == nil {
-			t.pool.PutResult(m)
-		}
-		return err
-	case *engine.FlushResult:
-		return t.sendFlushResult(m)
-	default:
-		return fmt.Errorf("netmw: worker transport cannot send %T", m)
-	}
-}
-
-func (t *workerTransport) Recv() (engine.Msg, error) {
-	mt, payload, err := t.readFrame()
-	if err != nil {
-		return nil, err
-	}
-	switch mt {
-	case MsgBye:
-		return engine.Bye{}, nil
-	case MsgFlush:
-		return engine.Flush{}, nil
-	case MsgJob:
-		if payload, err = splitCRC(payload); err != nil {
-			return nil, err
-		}
-		var hdr ChunkHeader
-		if err := hdr.decode(payload); err != nil {
-			return nil, err
-		}
-		as := t.pool.GetAssign()
-		if err := decodeAssignBlocks(as, payload[chunkHeaderLen:],
-			int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.T), t.pool); err != nil {
-			return nil, err
-		}
-		t.geom.push(int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.T))
-		as.ID = engine.AssignID{A: hdr.ID}
-		as.I0, as.J0 = int(hdr.I0), int(hdr.J0)
-		as.Rows, as.Cols, as.Q, as.Steps = int(hdr.Rows), int(hdr.Cols), int(hdr.Q), int(hdr.T)
-		as.Owned = true
-		return as, nil
-	case MsgSet:
-		return decodeSetPooled(payload, &t.geom, t.pool)
-	default:
-		return nil, fmt.Errorf("netmw: worker got unexpected message %d", mt)
-	}
 }
 
 // --- cluster worker side -------------------------------------------------
@@ -688,11 +480,11 @@ type clusterWorkerTransport struct {
 // NewClusterWorkerTransport wraps the worker side of a connection to a
 // cluster server (post-registration). pool may be nil.
 func NewClusterWorkerTransport(conn net.Conn, pool *engine.BlockPool) engine.Transport {
-	return newClusterWorkerTransport(conn, nil, nil, pool)
+	return newClusterWorkerTransport(conn, pool)
 }
 
-func newClusterWorkerTransport(conn net.Conn, r *bufio.Reader, w *bufio.Writer, pool *engine.BlockPool) *clusterWorkerTransport {
-	return &clusterWorkerTransport{connIO: newConnIO(conn, r, w, pool)}
+func newClusterWorkerTransport(conn net.Conn, pool *engine.BlockPool) *clusterWorkerTransport {
+	return &clusterWorkerTransport{connIO: newConnIO(conn, nil, nil, pool)}
 }
 
 // sendRegister announces the worker before the engine starts.
@@ -710,9 +502,6 @@ func (t *clusterWorkerTransport) sendHeartbeat() error {
 func (t *clusterWorkerTransport) Send(m engine.Msg) error {
 	switch m := m.(type) {
 	case *engine.Request:
-		if m.Kind != engine.ReqSet {
-			return fmt.Errorf("netmw: cluster workers only request update sets, got kind %d", m.Kind)
-		}
 		return t.writeFrame(MsgReq, func(buf []byte) []byte {
 			return append(buf, ReqSet)
 		})

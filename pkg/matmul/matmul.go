@@ -16,7 +16,8 @@
 //     algorithms (SimulateHeterogeneous), and parallel LU (SimulateLU).
 //   - Execution: real products on the in-process goroutine runtime
 //     (MultiplyLocal) and over TCP (ServeTCP / WorkTCP), plus the real
-//     block LU factorization (FactorLU).
+//     block LU factorization (FactorLU). Demand-driven and TCP runs are
+//     a cluster running one job.
 //   - Service: the long-running fault-tolerant multi-job scheduler
 //     (NewCluster, SubmitJob, JobStatus) with heartbeat failure
 //     detection, served in-process or over TCP (ServeClusterTCP).
@@ -27,10 +28,12 @@ package matmul
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/algorithms"
 	"repro/internal/blas"
 	"repro/internal/bounds"
+	"repro/internal/cluster"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/hetalg"
@@ -173,54 +176,97 @@ func SteadyStateThroughput(pl *Platform) (rho float64, feasible bool, err error)
 
 // LocalConfig configures MultiplyLocal.
 type LocalConfig struct {
-	Workers  int
-	Mu       int  // chunk side; 0 derives it from Memory via MuOverlap
-	Memory   int  // per-worker blocks, used when Mu == 0
-	StageCap int  // 1 or 2 (default 2)
+	Workers int
+	Mu      int // chunk side; 0 derives it from Memory via MuOverlap
+	// Memory is the per-worker capacity in blocks: it derives µ when
+	// Mu == 0 and is what demand-mode workers advertise (0 = µ²+4µ).
+	Memory   int
+	StageCap int  // static mode: 1 or 2 (default 2)
 	Demand   bool // demand-driven instead of the static Algorithm 1 order
 	// Cores shards each worker's block updates across this many kernel
 	// goroutines (0 or 1 = sequential). Results are bit-identical.
 	Cores int
-	// Prefetch double-buffers chunks in demand mode: the next C chunk
-	// streams to a worker while the current one computes.
-	Prefetch bool
 }
 
 // MultiplyLocal computes C ← C + A·B on the in-process goroutine runtime
 // with real data movement, the library's stand-in for an MPI deployment.
+// The static mode replays the Algorithm 1 plan; the demand mode runs the
+// product as a one-job in-process cluster.
 func MultiplyLocal(c, a, b *Blocked, cfg LocalConfig) (Result, error) {
 	mu := cfg.Mu
 	if mu == 0 {
 		mu = platform.MuOverlap(cfg.Memory)
 	}
+	if cfg.Demand {
+		mem := cfg.Memory
+		if mem == 0 {
+			mem = mu*mu + 4*mu
+		}
+		workers := make([]cluster.LocalWorkerConfig, cfg.Workers)
+		for i := range workers {
+			workers[i] = cluster.LocalWorkerConfig{Mem: mem, Cores: cfg.Cores}
+		}
+		run, err := cluster.RunJob(cluster.JobSpec{Kind: cluster.MatMul, C: c, A: a, B: b, Mu: mu}, workers)
+		if err != nil {
+			return Result{}, err
+		}
+		return jobResult("cluster-demand", c, a, run), nil
+	}
 	stage := cfg.StageCap
 	if stage == 0 {
 		stage = 2
 	}
-	mode := mw.Static
-	if cfg.Demand {
-		mode = mw.Demand
-	}
 	rep, err := mw.Multiply(c, a, b, mw.Config{
-		Workers: cfg.Workers, Mu: mu, StageCap: stage, Mode: mode,
-		Cores: cfg.Cores, Prefetch: cfg.Prefetch,
+		Workers: cfg.Workers, Mu: mu, StageCap: stage, Cores: cfg.Cores,
 	})
 	return rep.Result, err
 }
 
-// ServeTCP runs the distributed master on addr, waiting for the given
-// number of WorkTCP workers, and performs C ← C + A·B.
+// ServeTCP runs C ← C + A·B as a one-job cluster served on addr: it
+// waits for the given number of WorkTCP workers to register, runs the
+// job, and shuts the workers down.
 func ServeTCP(c, a, b *Blocked, addr string, workers, mu int) (Result, error) {
-	rep, err := netmw.Serve(c, a, b, netmw.MasterConfig{Addr: addr, Workers: workers, Mu: mu})
-	return rep.Result, err
+	cl := cluster.New(cluster.Config{})
+	srv, err := netmw.ServeCluster(cl, netmw.ClusterServerConfig{Addr: addr})
+	if err != nil {
+		cl.Close()
+		return Result{}, err
+	}
+	run, err := srv.RunJob(workers, cluster.JobSpec{Kind: cluster.MatMul, C: c, A: a, B: b, Mu: mu})
+	if err != nil {
+		return Result{}, err
+	}
+	return jobResult("netmw", c, a, run), nil
+}
+
+// jobResult summarizes a one-job cluster run of C ← C + A·B. Blocks is
+// the logical communication volume the paper's CCR counts: every
+// operand block an update set referenced (shipped or served from a
+// worker's cache) plus each C tile down and up once.
+func jobResult(alg string, c, a *Blocked, run cluster.JobRun) Result {
+	enrolled := 0
+	for _, w := range run.Workers {
+		if w.Done > 0 {
+			enrolled++
+		}
+	}
+	pr := core.Problem{R: c.BR, S: c.BC, T: a.BC, Q: c.Q}
+	comm := run.Status.Comm
+	return Result{
+		Algorithm: alg,
+		Makespan:  run.Elapsed.Seconds(),
+		Enrolled:  enrolled,
+		Blocks:    comm.BlocksShipped + comm.BlocksSkipped + 2*int64(pr.CBlocks()),
+		Updates:   pr.Updates(),
+	}
 }
 
 // WorkerOptions configures WorkTCPWith.
 type WorkerOptions struct {
 	MemoryBlocks int // advertised capacity
 	StageCap     int // staged update sets (1 or 2)
-	// Prefetch double-buffers chunks: the next C chunk streams down
-	// while the current one computes.
+	// Prefetch double-buffers tasks (two slots): the next C tile streams
+	// down while the current one computes.
 	Prefetch bool
 	// Cores is the kernel parallelism; 0 means one shard per core.
 	Cores int
@@ -231,15 +277,28 @@ func WorkTCP(addr string, memoryBlocks, stageCap int) error {
 	return WorkTCPWith(addr, WorkerOptions{MemoryBlocks: memoryBlocks, StageCap: stageCap})
 }
 
-// WorkTCPWith runs one distributed worker with the full option set:
-// pipelined chunk prefetch and the multi-core tiled kernel.
+// WorkTCPWith runs one cluster worker against a ServeTCP master (or
+// any cluster server) with the full option set: pipelined task prefetch
+// and the multi-core tiled kernel. It returns nil once the server says
+// goodbye. Failed dials and dropped connections are retried with
+// backoff (workerRedials times), so a worker may start before its
+// master listens.
 func WorkTCPWith(addr string, opts WorkerOptions) error {
-	_, err := netmw.RunWorker(netmw.WorkerConfig{
+	slots := 1
+	if opts.Prefetch {
+		slots = 2
+	}
+	_, err := netmw.RunClusterWorker(netmw.ClusterWorkerConfig{
 		Addr: addr, Memory: opts.MemoryBlocks, StageCap: opts.StageCap,
-		Prefetch: opts.Prefetch, Cores: opts.Cores,
+		Slots: slots, Cores: opts.Cores,
+		Reconnect: workerRedials, Backoff: 50 * time.Millisecond,
 	})
 	return err
 }
+
+// workerRedials is how many times WorkTCPWith redials: with the 50 ms
+// doubling backoff (capped at 800 ms) it waits about 5 s for a master.
+const workerRedials = 10
 
 // FactorLU factors the n×n dense matrix in place (packed L\U, no
 // pivoting; see internal/lu for the stability contract) with the §7
