@@ -537,12 +537,12 @@ func BenchmarkTransportCodec(b *testing.B) {
 		name string
 		run  func()
 	}{
-		{"encode-bulk", func() { encoded = netmw.EncodeFloats(encoded[:0], block) }},
-		{"encode-portable", func() { encoded = netmw.EncodeFloatsPortable(encoded[:0], block) }},
-		{"decode-bulk", func() { netmw.DecodeFloatsInto(dst, encoded) }},
-		{"decode-portable", func() { netmw.DecodeFloatsPortableInto(dst, encoded) }},
+		{"encode-bulk", func() { encoded = matrix.AppendFloats(encoded[:0], block) }},
+		{"encode-portable", func() { encoded = matrix.AppendFloatsPortable(encoded[:0], block) }},
+		{"decode-bulk", func() { matrix.ReadFloats(dst, encoded) }},
+		{"decode-portable", func() { matrix.ReadFloatsPortable(dst, encoded) }},
 	}
-	encoded = netmw.EncodeFloats(encoded[:0], block) // prime for the decode arms
+	encoded = matrix.AppendFloats(encoded[:0], block) // prime for the decode arms
 	// 64 codec passes per benchmark iteration: `make bench` runs few
 	// iterations, and a multi-hundred-µs op amortizes timer noise on a
 	// shared machine.

@@ -4,13 +4,15 @@
 // reschedules their lost work onto the survivors.
 //
 // With -store it is crash-safe: every job acceptance, committed chunk and
-// terminal state is journaled to an fsync'd write-ahead log before being
-// acknowledged, and on boot the journal is replayed — finished jobs keep
-// serving their results to resubmitted keys, unfinished jobs resume with
-// exactly their uncommitted work requeued. SIGTERM drains gracefully
-// (stop admitting, finish what is running, then compact the journal);
-// a second signal, or the -drain-timeout deadline, exits immediately —
-// which is safe, because the journal replays on the next boot.
+// terminal state is journaled to a group-committed write-ahead log, a
+// submission is acknowledged and a result sent only once the record
+// behind it is durable, and on boot the journal is replayed — finished
+// jobs keep serving their results to resubmitted keys, unfinished jobs
+// resume with exactly their uncommitted work requeued. SIGTERM drains
+// gracefully (stop admitting, finish what is running, then compact the
+// journal); a second signal, or the -drain-timeout deadline, exits
+// immediately — which is safe, because the journal replays on the next
+// boot.
 //
 // It doubles as the submission client: `mmserve -submit` builds a
 // deterministic job, sends it to a running server, and verifies the

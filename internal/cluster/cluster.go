@@ -105,9 +105,10 @@ type Config struct {
 	// backoff. Zero value requeues immediately.
 	Retry RetryPolicy
 	// Log, when set, receives every job lifecycle event (accepted, chunk
-	// committed, done) durably before the corresponding state transition
-	// is acknowledged; Recover replays it after a restart. Nil keeps the
-	// control plane in memory only.
+	// committed, done) in order; a submit returns and a job's Done
+	// channel closes only once the event behind it is durable. Recover
+	// replays it after a restart. Nil keeps the control plane in memory
+	// only.
 	Log JobLog
 	// Verify tunes Freivalds result verification and worker quarantine.
 	// Zero value (VerifyOff) commits results unchecked.
@@ -181,10 +182,13 @@ type Cluster struct {
 	specWon      int
 
 	// log is the durable event sink (nil = memory-only); logErr latches
-	// the first append failure, after which new submissions are refused
-	// rather than accepted without durability.
-	log    JobLog
-	logErr error
+	// the first append or sync failure, after which new submissions are
+	// refused rather than accepted without durability. doneSyncs counts
+	// finished jobs whose done record is not yet durable (their Done
+	// channels are still open).
+	log       JobLog
+	logErr    error
+	doneSyncs int
 	// keys maps client idempotency keys to their jobs, so resubmitting
 	// an accepted key attaches instead of double-running.
 	keys map[uint64]JobID
@@ -254,38 +258,50 @@ func (cl *Cluster) SubmitJob(spec JobSpec) (JobID, error) {
 // resubmits the same key and lands on the same job, before or after a
 // master restart. Key 0 means unkeyed.
 //
-// With a JobLog configured, the accept event (including the operand
-// matrices) is fsync'd before the job is admitted; an append failure
-// refuses the submission rather than accepting work that would not
-// survive a crash.
+// With a JobLog configured, SubmitJobKeyed returns only once the accept
+// event (including the operand matrices) is durable. The record is
+// encoded before the scheduler lock is taken and written under it, and
+// the fsync is awaited after the lock is released, so a large upload
+// never stalls dispatch. If the accept cannot be made durable, the job
+// fails, the log is latched broken and the submission returns the
+// error rather than accepting work that would not survive a crash.
 func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (JobID, bool, error) {
 	if err := spec.Validate(); err != nil {
 		return 0, false, err
 	}
+	var rec []byte
+	if cl.cfg.Log != nil {
+		if spec.Planner != nil {
+			return 0, false, errors.New("cluster: jobs with custom planners cannot be journaled (replay would re-plan with the default order)")
+		}
+		rec = encodeAccepted(key, spec, cl.cfg.Adaptive.Enabled && spec.Kind == MatMul)
+	}
 	cl.mu.Lock()
-	defer cl.mu.Unlock()
 	if cl.closed {
+		cl.mu.Unlock()
 		return 0, false, ErrClosed
 	}
 	// The key check precedes the drain gate: a retried submit of work
 	// accepted before the drain began must still find its job.
-	if key != 0 {
-		if id, ok := cl.keys[key]; ok {
-			return id, true, nil
-		}
+	if id, ok := cl.keys[key]; ok && key != 0 {
+		cl.mu.Unlock()
+		return id, true, nil
 	}
 	if cl.draining {
+		cl.mu.Unlock()
 		return 0, false, ErrDraining
 	}
-	if cl.log != nil && spec.Planner != nil {
-		return 0, false, errors.New("cluster: jobs with custom planners cannot be journaled (replay would re-plan with the default order)")
-	}
 	if cl.logErr != nil {
-		return 0, false, fmt.Errorf("cluster: job log broken, refusing new work: %w", cl.logErr)
+		err := cl.logErr
+		cl.mu.Unlock()
+		return 0, false, fmt.Errorf("cluster: job log broken, refusing new work: %w", err)
 	}
 	id := cl.nextID
-	if cl.log != nil {
-		if err := cl.appendLogLocked(encodeAccepted(id, key, spec, cl.cfg.Adaptive.Enabled && spec.Kind == MatMul && spec.Planner == nil)); err != nil {
+	log := cl.log
+	if log != nil {
+		setRecordJob(rec, id)
+		if err := cl.appendLogLocked(rec); err != nil {
+			cl.mu.Unlock()
 			return 0, false, fmt.Errorf("cluster: persisting accept: %w", err)
 		}
 	}
@@ -299,6 +315,16 @@ func (cl *Cluster) SubmitJobKeyed(key uint64, spec JobSpec) (JobID, bool, error)
 	}
 	cl.promoteLocked()
 	cl.cond.Broadcast()
+	cl.mu.Unlock()
+	if log != nil {
+		if err := cl.syncLog(log); err != nil {
+			err = fmt.Errorf("cluster: persisting accept: %w", err)
+			cl.mu.Lock()
+			cl.failJobLocked(j, err)
+			cl.mu.Unlock()
+			return 0, false, err
+		}
+	}
 	return id, false, nil
 }
 
@@ -340,9 +366,10 @@ func (cl *Cluster) Drain() {
 	cl.mu.Unlock()
 }
 
-// AwaitQuiesce blocks until no job is Queued or Running, or the timeout
-// elapses; it reports whether the cluster quiesced. Combine with Drain
-// for a bounded graceful shutdown.
+// AwaitQuiesce blocks until no job is Queued or Running and every
+// finished job's Done channel has closed (its done record is durable),
+// or the timeout elapses; it reports whether the cluster quiesced.
+// Combine with Drain for a bounded graceful shutdown.
 func (cl *Cluster) AwaitQuiesce(timeout time.Duration) bool {
 	deadline := time.Now().Add(timeout)
 	timer := time.AfterFunc(timeout, func() {
@@ -354,7 +381,7 @@ func (cl *Cluster) AwaitQuiesce(timeout time.Duration) bool {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
 	for {
-		busy := false
+		busy := cl.doneSyncs > 0
 		for _, j := range cl.jobs {
 			if j.state == Queued || j.state == Running {
 				busy = true
@@ -405,8 +432,9 @@ func (cl *Cluster) Wait(id JobID) (Status, error) {
 	return cl.JobStatus(id)
 }
 
-// Done returns a channel closed when the job reaches Done or Failed, for
-// callers that need to select against their own shutdown.
+// Done returns a channel closed when the job reaches Done or Failed and,
+// with a JobLog configured, its done record is durable — for callers
+// that need to select against their own shutdown.
 func (cl *Cluster) Done(id JobID) (<-chan struct{}, error) {
 	cl.mu.Lock()
 	defer cl.mu.Unlock()
@@ -1433,5 +1461,5 @@ func (cl *Cluster) finishJobLocked(j *job, state JobState, err error) {
 		}
 	}
 	j.dirty = 0
-	close(j.doneCh)
+	cl.releaseDoneLocked(j)
 }

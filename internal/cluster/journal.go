@@ -1,8 +1,22 @@
 package cluster
 
-// The durable control plane: job lifecycle events stream to a JobLog as
-// they happen under the scheduler mutex, and Recover rebuilds the
-// scheduler's job state from a replay after a master crash.
+// The durable control plane: job lifecycle events are written to a
+// JobLog as they happen under the scheduler mutex, and Recover rebuilds
+// the scheduler's job state from a replay after a master crash.
+//
+// Writing a record does not wait for the disk; no fsync ever runs under
+// cl.mu. Durability is awaited outside the lock, at the two points a
+// client can observe:
+//
+//   - SubmitJobKeyed returns only once the job's accept record is
+//     durable;
+//   - a job's Done channel closes only once its done record is durable
+//     (Wait, RunJob, the TCP reply and AwaitQuiesce all hang off it).
+//
+// JobLog.Sync is group-committed, so concurrent submits and job
+// completions share fsyncs. A crash before either point loses only a
+// suffix of the log — records nobody was told about — and replay treats
+// a missing suffix as work not yet committed.
 //
 // Three event kinds suffice because everything else the scheduler knows
 // is derivable:
@@ -46,11 +60,17 @@ import (
 )
 
 // JobLog is the durable sink and replay source for job lifecycle
-// events. Append must be atomic-or-error and durable on nil return; the
-// snapshot flag on replay marks a record that resets all prior state.
-// *store.Journal is the production implementation (via NewStoreLog).
+// events. Append is called under the scheduler lock and must be
+// atomic-or-error and keep call order, but need not wait for the disk:
+// a record is durable once a Sync that started after its Append has
+// returned nil. Sync is called concurrently from many goroutines, never
+// under the scheduler lock; implementations should share one fsync
+// among concurrent callers. The snapshot flag on replay marks a record
+// that resets all prior state. *store.Journal is the production
+// implementation (via NewStoreLog).
 type JobLog interface {
 	Append(rec []byte) error
+	Sync() error
 	Replay(fn func(rec []byte, snapshot bool) error) error
 	Compact(snapshot []byte) error
 }
@@ -61,7 +81,8 @@ type storeLog struct{ j *store.Journal }
 // NewStoreLog wraps a write-ahead journal as the cluster's JobLog.
 func NewStoreLog(j *store.Journal) JobLog { return storeLog{j} }
 
-func (s storeLog) Append(rec []byte) error   { return s.j.Append(rec) }
+func (s storeLog) Append(rec []byte) error   { return s.j.Write(rec) }
+func (s storeLog) Sync() error               { return s.j.Sync() }
 func (s storeLog) Compact(snap []byte) error { return s.j.Compact(snap) }
 func (s storeLog) Replay(fn func(rec []byte, snapshot bool) error) error {
 	_, err := s.j.Replay(fn)
@@ -126,24 +147,74 @@ func ReplayChunkCommits(dir string) (chunks []ChunkCommit, done int, err error) 
 // --- emission (called under cl.mu) ----------------------------------------
 
 // appendLogLocked writes one event; on failure the log is latched
-// broken (cl.logErr) so no further admission happens against a journal
-// that cannot persist it, while in-memory jobs run to completion.
+// broken so no further admission happens against a journal that cannot
+// persist it, while in-memory jobs run to completion.
 func (cl *Cluster) appendLogLocked(rec []byte) error {
 	if cl.log == nil {
 		return cl.logErr
 	}
 	if err := cl.log.Append(rec); err != nil {
-		cl.logErr = err
-		cl.log = nil
+		cl.latchLogLocked(err)
 		return err
 	}
 	return nil
 }
 
-func encodeAccepted(id JobID, key uint64, spec JobSpec, adaptive bool) []byte {
-	e := &recEnc{}
+// latchLogLocked records the first log failure and detaches the log.
+func (cl *Cluster) latchLogLocked(err error) {
+	if cl.logErr == nil {
+		cl.logErr = err
+	}
+	cl.log = nil
+}
+
+// syncLog waits, without cl.mu, until every record written to log so far
+// is durable. A failure latches the log broken.
+func (cl *Cluster) syncLog(log JobLog) error {
+	err := log.Sync()
+	if err != nil {
+		cl.mu.Lock()
+		cl.latchLogLocked(err)
+		cl.mu.Unlock()
+	}
+	return err
+}
+
+// releaseDoneLocked closes j's Done channel once its done record is
+// durable. The wait runs on its own goroutine so cl.mu is never held
+// across an fsync; doneSyncs keeps AwaitQuiesce waiting meanwhile. If
+// the log fails the channel still closes — the result stands, only its
+// durability was lost, and the failure is latched for new submissions.
+func (cl *Cluster) releaseDoneLocked(j *job) {
+	log := cl.log
+	if log == nil {
+		close(j.doneCh)
+		return
+	}
+	cl.doneSyncs++
+	go func() {
+		cl.syncLog(log) //nolint:errcheck // latched in cl.logErr
+		cl.mu.Lock()
+		cl.doneSyncs--
+		close(j.doneCh)
+		cl.cond.Broadcast()
+		cl.mu.Unlock()
+	}()
+}
+
+// encodeAccepted builds the accept record — the operands verbatim — in
+// one presized buffer. It runs before the job has an id, so the id
+// field is left zero for setRecordJob to fill in under the lock.
+func encodeAccepted(key uint64, spec JobSpec, adaptive bool) []byte {
+	n := 1 + 4 + 8 + 1 + 1 + 4
+	for _, m := range []*matrix.Blocked{spec.M, spec.C, spec.A, spec.B} {
+		if m != nil {
+			n += 12 + m.Bytes()
+		}
+	}
+	e := &recEnc{buf: make([]byte, 0, n)}
 	e.u8(evAccepted)
-	e.u32(uint32(id))
+	e.u32(0) // job id, see setRecordJob
 	e.u64(key)
 	e.u8(byte(spec.Kind))
 	if adaptive {
@@ -162,6 +233,10 @@ func encodeAccepted(id JobID, key uint64, spec JobSpec, adaptive bool) []byte {
 	return e.buf
 }
 
+// setRecordJob writes id into an event record's job id field, which
+// follows the type byte in every event.
+func setRecordJob(rec []byte, id JobID) { binary.LittleEndian.PutUint32(rec[1:], uint32(id)) }
+
 // logChunkLocked records a committed chunk, reading the final tile
 // values out of the job matrix (they were just copied in).
 func (cl *Cluster) logChunkLocked(j *job, t *Task) {
@@ -177,7 +252,8 @@ func (cl *Cluster) logChunkLocked(j *job, t *Task) {
 	if j.spec.Kind == LU {
 		dst = j.spec.M
 	}
-	e := &recEnc{}
+	q := cl.taskQ(j)
+	e := &recEnc{buf: make([]byte, 0, 1+7*4+8*ch.Rows*ch.Cols*q*q)}
 	e.u8(evChunk)
 	e.u32(uint32(j.id))
 	e.u32(uint32(t.Seq))
@@ -290,8 +366,7 @@ func (cl *Cluster) CompactLog() error {
 	}
 	snap := cl.encodeSnapshotLocked()
 	if err := cl.log.Compact(snap); err != nil {
-		cl.logErr = err
-		cl.log = nil
+		cl.latchLogLocked(err)
 		return err
 	}
 	return nil
@@ -700,21 +775,13 @@ func (e *recEnc) str(s string) {
 	e.buf = append(e.buf, s...)
 }
 
-func (e *recEnc) floats(v []float64) {
-	for _, f := range v {
-		e.buf = binary.LittleEndian.AppendUint64(e.buf, math.Float64bits(f))
-	}
-}
+func (e *recEnc) floats(v []float64) { e.buf = matrix.AppendFloats(e.buf, v) }
 
 func (e *recEnc) mat(m *matrix.Blocked) {
 	e.u32(uint32(m.BR))
 	e.u32(uint32(m.BC))
 	e.u32(uint32(m.Q))
-	for i := 0; i < m.BR; i++ {
-		for j := 0; j < m.BC; j++ {
-			e.floats(m.Block(i, j).Data)
-		}
-	}
+	e.buf = m.AppendFloats(e.buf)
 }
 
 type recDec struct {
@@ -771,12 +838,8 @@ func (d *recDec) str() string {
 }
 
 func (d *recDec) readFloats(dst []float64) {
-	b := d.take(8 * len(dst))
-	if b == nil {
-		return
-	}
-	for i := range dst {
-		dst[i] = math.Float64frombits(binary.LittleEndian.Uint64(b[8*i:]))
+	if b := d.take(8 * len(dst)); b != nil {
+		matrix.ReadFloats(dst, b)
 	}
 }
 
@@ -802,10 +865,6 @@ func (d *recDec) mat() *matrix.Blocked {
 		return nil
 	}
 	m := matrix.NewBlocked(br, bc, q)
-	for i := 0; i < br; i++ {
-		for j := 0; j < bc; j++ {
-			d.readFloats(m.Block(i, j).Data)
-		}
-	}
+	d.buf, _ = m.ReadFloats(d.buf) // length checked above
 	return m
 }

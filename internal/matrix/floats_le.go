@@ -1,17 +1,17 @@
 //go:build amd64 || 386 || arm || arm64 || loong64 || mips64le || mipsle || ppc64le || riscv64 || wasm
 
-package netmw
+package matrix
 
 import "unsafe"
 
 // On little-endian architectures the in-memory representation of a
-// []float64 IS the wire format, so encode and decode are single bulk
+// []float64 IS the encoded format, so encode and decode are single bulk
 // copies (memmove runs at memory bandwidth; the element loop does not).
 // The equivalence with the portable loop is pinned bit-for-bit by
 // TestFloatCodecEquivalence, which CI runs under the race detector.
 
-// putFloats appends the raw little-endian encoding of fs to buf.
-func putFloats(buf []byte, fs []float64) []byte {
+// AppendFloats appends the raw little-endian encoding of fs to buf.
+func AppendFloats(buf []byte, fs []float64) []byte {
 	if len(fs) == 0 {
 		return buf
 	}
@@ -19,10 +19,10 @@ func putFloats(buf []byte, fs []float64) []byte {
 	return append(buf, src...)
 }
 
-// getFloatsInto decodes len(dst) doubles from buf into dst; the caller
+// ReadFloats decodes len(dst) doubles from buf into dst; the caller
 // has already checked that buf is long enough. buf may be arbitrarily
 // aligned — copy tolerates that, only dst must be a real []float64.
-func getFloatsInto(dst []float64, buf []byte) {
+func ReadFloats(dst []float64, buf []byte) {
 	if len(dst) == 0 {
 		return
 	}

@@ -1,4 +1,4 @@
-package netmw
+package matrix
 
 import (
 	"math"
@@ -7,8 +7,8 @@ import (
 )
 
 // TestFloatCodecEquivalence pins the bulk little-endian float path
-// bit-identical to the portable per-element loop — the loop is the wire
-// format's definition, the bulk path is an optimization and may never
+// bit-identical to the portable per-element loop — the loop is the
+// encoding's definition, the bulk path is an optimization and may never
 // diverge from it. The property runs across sizes (empty through
 // several blocks), byte offsets (the decode source is arbitrarily
 // aligned inside a frame) and hostile bit patterns (NaN payloads,
@@ -38,8 +38,8 @@ func TestFloatCodecEquivalence(t *testing.T) {
 		for _, prefix := range []int{0, 1, 5, 13} {
 			pre := make([]byte, prefix)
 			rng.Read(pre)
-			fast := putFloats(append([]byte(nil), pre...), fs)
-			slow := putFloatsPortable(append([]byte(nil), pre...), fs)
+			fast := AppendFloats(append([]byte(nil), pre...), fs)
+			slow := AppendFloatsPortable(append([]byte(nil), pre...), fs)
 			if len(fast) != len(slow) {
 				t.Fatalf("n=%d prefix=%d: fast encodes %d bytes, portable %d", n, prefix, len(fast), len(slow))
 			}
@@ -53,8 +53,8 @@ func TestFloatCodecEquivalence(t *testing.T) {
 			// aligned) encoded bytes.
 			dFast := make([]float64, n)
 			dSlow := make([]float64, n)
-			getFloatsInto(dFast, fast[prefix:])
-			getFloatsPortableInto(dSlow, slow[prefix:])
+			ReadFloats(dFast, fast[prefix:])
+			ReadFloatsPortable(dSlow, slow[prefix:])
 			for i := range dFast {
 				if math.Float64bits(dFast[i]) != math.Float64bits(dSlow[i]) {
 					t.Fatalf("n=%d prefix=%d: decoded element %d differs: %#x != %#x",
@@ -69,14 +69,26 @@ func TestFloatCodecEquivalence(t *testing.T) {
 	}
 }
 
-// TestGetFloatsShort pins the bounds check of the getFloats wrapper.
-func TestGetFloatsShort(t *testing.T) {
-	buf := putFloats(nil, []float64{1, 2, 3})
-	if _, _, err := getFloats(buf, 4); err == nil {
+// TestReadFloatsShort pins the bounds check of Blocked.ReadFloats: a
+// payload one element short is refused, an exact one decodes in place
+// and leaves the trailing bytes.
+func TestReadFloatsShort(t *testing.T) {
+	src := NewBlocked(1, 2, 2)
+	for i, b := range src.Blocks {
+		for k := range b.Data {
+			b.Data[k] = float64(10*i + k)
+		}
+	}
+	buf := src.AppendFloats(nil)
+	if _, err := NewBlocked(1, 2, 2).ReadFloats(buf[:len(buf)-8]); err == nil {
 		t.Fatal("short float payload accepted")
 	}
-	fs, rest, err := getFloats(buf, 2)
-	if err != nil || len(fs) != 2 || len(rest) != 8 {
-		t.Fatalf("getFloats: fs=%v rest=%d err=%v", fs, len(rest), err)
+	dst := NewBlocked(1, 2, 2)
+	rest, err := dst.ReadFloats(append(buf, 1, 2, 3))
+	if err != nil || len(rest) != 3 || !dst.Equal(src, 0) {
+		t.Fatalf("ReadFloats: rest=%d err=%v dst=%v", len(rest), err, dst.Blocks[1].Data)
+	}
+	if got := len(buf); got != src.Bytes() {
+		t.Fatalf("AppendFloats wrote %d bytes, Bytes() = %d", got, src.Bytes())
 	}
 }

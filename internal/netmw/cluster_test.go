@@ -97,7 +97,7 @@ func TestClusterMessagesThroughFraming(t *testing.T) {
 	th := TaskHeader{Job: 1, Seq: 2, Attempt: 0, Steps: 4, Rows: 1, Cols: 1, Q: 2}
 	tp := make([]byte, taskHeaderLen)
 	th.encode(tp)
-	tp = putFloats(tp, []float64{1, 2, 3, 4})
+	tp = matrix.AppendFloats(tp, []float64{1, 2, 3, 4})
 	if err := writeMsg(&buf, MsgTask, tp); err != nil {
 		t.Fatal(err)
 	}
@@ -122,9 +122,13 @@ func TestClusterMessagesThroughFraming(t *testing.T) {
 	if err := tout.decode(payload); err != nil || tout != th {
 		t.Fatalf("task decode %+v err %v", tout, err)
 	}
-	fs, _, err := getFloats(payload[taskHeaderLen:], 4)
-	if err != nil || fs[0] != 1 || fs[3] != 4 {
-		t.Fatalf("task blocks %v err %v", fs, err)
+	fs := make([]float64, 4)
+	if len(payload) != taskHeaderLen+8*len(fs) {
+		t.Fatalf("task payload %d bytes, want %d", len(payload), taskHeaderLen+8*len(fs))
+	}
+	matrix.ReadFloats(fs, payload[taskHeaderLen:])
+	if fs[0] != 1 || fs[3] != 4 {
+		t.Fatalf("task blocks %v", fs)
 	}
 }
 

@@ -246,12 +246,7 @@ func SubmitMatMulDurable(addr string, c, a, b *matrix.Blocked, mu int, opts Subm
 		Kind: WireMatMul, R: uint32(c.BR), T: uint32(a.BC), S: uint32(c.BC),
 		Q: uint32(c.Q), Mu: uint32(mu), Key: submitKey(opts.Key),
 	}
-	payload := make([]byte, jobHeaderLen)
-	hdr.encode(payload)
-	payload = encodeBlocked(payload, c)
-	payload = encodeBlocked(payload, a)
-	payload = encodeBlocked(payload, b)
-	return submitDurable(addr, payload, c, opts)
+	return submitDurable(addr, submitPayload(hdr, c, a, b), c, opts)
 }
 
 // SubmitLUDurable submits an in-place LU factorization of m with the
@@ -261,10 +256,7 @@ func SubmitLUDurable(addr string, m *matrix.Blocked, mu int, opts SubmitOptions)
 		Kind: WireLU, R: uint32(m.BR), T: uint32(m.BR), S: uint32(m.BC),
 		Q: uint32(m.Q), Mu: uint32(mu), Key: submitKey(opts.Key),
 	}
-	payload := make([]byte, jobHeaderLen)
-	hdr.encode(payload)
-	payload = encodeBlocked(payload, m)
-	return submitDurable(addr, payload, m, opts)
+	return submitDurable(addr, submitPayload(hdr, m), m, opts)
 }
 
 // SubmitMatMulTCP submits C ← C + A·B to an mmserve cluster and blocks
@@ -275,12 +267,7 @@ func SubmitMatMulTCP(addr string, c, a, b *matrix.Blocked, mu int, timeout time.
 		Kind: WireMatMul, R: uint32(c.BR), T: uint32(a.BC), S: uint32(c.BC),
 		Q: uint32(c.Q), Mu: uint32(mu),
 	}
-	payload := make([]byte, jobHeaderLen)
-	hdr.encode(payload)
-	payload = encodeBlocked(payload, c)
-	payload = encodeBlocked(payload, a)
-	payload = encodeBlocked(payload, b)
-	return submit(addr, payload, c, timeout)
+	return submit(addr, submitPayload(hdr, c, a, b), c, timeout)
 }
 
 // SubmitLUTCP submits an in-place LU factorization of m to an mmserve
@@ -290,10 +277,22 @@ func SubmitLUTCP(addr string, m *matrix.Blocked, mu int, timeout time.Duration) 
 		Kind: WireLU, R: uint32(m.BR), T: uint32(m.BR), S: uint32(m.BC),
 		Q: uint32(m.Q), Mu: uint32(mu),
 	}
-	payload := make([]byte, jobHeaderLen)
+	return submit(addr, submitPayload(hdr, m), m, timeout)
+}
+
+// submitPayload encodes a MsgSubmit payload — the header, then every
+// operand's blocks — into one buffer sized up front.
+func submitPayload(hdr JobHeader, ops ...*matrix.Blocked) []byte {
+	n := jobHeaderLen
+	for _, m := range ops {
+		n += m.Bytes()
+	}
+	payload := make([]byte, jobHeaderLen, n)
 	hdr.encode(payload)
-	payload = encodeBlocked(payload, m)
-	return submit(addr, payload, m, timeout)
+	for _, m := range ops {
+		payload = m.AppendFloats(payload)
+	}
+	return payload
 }
 
 // submitKey returns key, or a fresh random nonzero key when key is 0.
@@ -370,16 +369,6 @@ func submit(addr string, payload []byte, dst *matrix.Blocked, timeout time.Durat
 	if hdr.Code != 0 {
 		return fmt.Errorf("netmw: job %d failed: %w", hdr.Job, &errJobRejected{msg: string(body)})
 	}
-	q := dst.Q
-	for i := 0; i < dst.BR; i++ {
-		for j := 0; j < dst.BC; j++ {
-			fs, rest, err := getFloats(body, q*q)
-			if err != nil {
-				return err
-			}
-			copy(dst.Block(i, j).Data, fs)
-			body = rest
-		}
-	}
-	return nil
+	_, err = dst.ReadFloats(body)
+	return err
 }

@@ -1,6 +1,10 @@
 package netmw
 
-import "sync"
+import (
+	"sync"
+
+	"repro/internal/matrix"
+)
 
 // frameCache caches the wire encoding of operand blocks by block ID so
 // a block broadcast to W workers is encoded once and the per-connection
@@ -40,7 +44,7 @@ func (fc *frameCache) encoded(id uint64, blk []float64) []byte {
 	fc.mu.Unlock()
 	// Encode outside the lock: blocks are immutable and a duplicate
 	// encode under contention is cheaper than serializing the memcpy.
-	bs := putFloats(make([]byte, 0, 8*len(blk)), blk)
+	bs := matrix.AppendFloats(make([]byte, 0, 8*len(blk)), blk)
 	fc.mu.Lock()
 	if _, ok := fc.m[id]; !ok {
 		fc.m[id] = bs

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/engine"
+	"repro/internal/matrix"
 )
 
 // FuzzDecodeFrame throws arbitrary byte streams at the framing layer:
@@ -23,7 +24,7 @@ func FuzzDecodeFrame(f *testing.F) {
 	writeMsg(&ok, MsgRegister, ri.encode())
 	f.Add(ok.Bytes())
 	ok.Reset()
-	writeMsg(&ok, MsgSet, putFloats([]byte{0, 0, 0, 0}, []float64{1, 2, 3, 4}))
+	writeMsg(&ok, MsgSet, matrix.AppendFloats([]byte{0, 0, 0, 0}, []float64{1, 2, 3, 4}))
 	f.Add(ok.Bytes())
 	// truncated header / truncated payload / hostile length prefix
 	f.Add([]byte{byte(MsgTask)})
@@ -64,7 +65,7 @@ func encodeSetPayload(prefix []byte, k, cacheCap uint32, ids []uint64, flags []b
 		out = append(out, w[:]...)
 		out = append(out, flags[i])
 	}
-	return appendCRC(putFloats(out, payload), len(prefix))
+	return appendCRC(matrix.AppendFloats(out, payload), len(prefix))
 }
 
 // encodeAssignBody appends the C-flag tail of an assignment frame to a
@@ -73,7 +74,7 @@ func encodeSetPayload(prefix []byte, k, cacheCap uint32, ids []uint64, flags []b
 // the payload CRC covering header and tail alike.
 func encodeAssignBody(hdr []byte, flags []byte, payload []float64) []byte {
 	out := appendCFlags(hdr, flags)
-	return appendCRC(putFloats(out, payload), 0)
+	return appendCRC(matrix.AppendFloats(out, payload), 0)
 }
 
 // encodeFlushPayload hand-builds a MsgFlushResult payload for seeds:
@@ -88,7 +89,7 @@ func encodeFlushPayload(count uint32, ids []uint64, blocks [][]float64) []byte {
 		out = append(out, w[:]...)
 		binary.LittleEndian.PutUint32(w[:4], uint32(len(blocks[i])))
 		out = append(out, w[:4]...)
-		out = putFloats(out, blocks[i])
+		out = matrix.AppendFloats(out, blocks[i])
 	}
 	return out
 }
@@ -131,14 +132,14 @@ func FuzzDecodeMsg(f *testing.F) {
 	sp := make([]byte, jobHeaderLen)
 	sub.encode(sp)
 	for i := 0; i < 3; i++ {
-		sp = putFloats(sp, []float64{1, 2, 3, 4})
+		sp = matrix.AppendFloats(sp, []float64{1, 2, 3, 4})
 	}
 	f.Add(append([]byte{3}, sp...))
 
 	lu := JobHeader{Kind: WireLU, R: 2, T: 2, S: 2, Q: 1, Mu: 1}
 	lp := make([]byte, jobHeaderLen)
 	lu.encode(lp)
-	lp = putFloats(lp, []float64{1, 2, 3, 4})
+	lp = matrix.AppendFloats(lp, []float64{1, 2, 3, 4})
 	f.Add(append([]byte{3}, lp...))
 
 	// a keyed (idempotent) submission, and a header truncated inside the
@@ -147,7 +148,7 @@ func FuzzDecodeMsg(f *testing.F) {
 	kp := make([]byte, jobHeaderLen)
 	keyed.encode(kp)
 	for i := 0; i < 3; i++ {
-		kp = putFloats(kp, []float64{1})
+		kp = matrix.AppendFloats(kp, []float64{1})
 	}
 	f.Add(append([]byte{3}, kp...))
 	f.Add(append([]byte{3}, kp[:jobHeaderLen-4]...))
@@ -188,7 +189,7 @@ func FuzzDecodeMsg(f *testing.F) {
 	trh := TaskResultHeader{Job: 1, Seq: 2, Attempt: 3}
 	rp := make([]byte, taskResultHeaderLen)
 	trh.encode(rp)
-	flat := appendCRC(putFloats(append([]byte{1}, rp...), []float64{1, 2, 3, 4}), 1)
+	flat := appendCRC(matrix.AppendFloats(append([]byte{1}, rp...), []float64{1, 2, 3, 4}), 1)
 	f.Add(append([]byte{7}, flat...))
 
 	f.Add(append([]byte{5}, rp...))

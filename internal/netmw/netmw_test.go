@@ -2,6 +2,7 @@ package netmw
 
 import (
 	"bufio"
+	"math"
 	"net"
 	"sync"
 	"testing"
@@ -310,22 +311,30 @@ func TestWorkerDialError(t *testing.T) {
 	}
 }
 
+// TestFloatsRoundTrip: a blocked matrix encoded the way clients and
+// the server put it on the wire decodes bit-exact through
+// decodeBlocked, and a payload one element short is refused.
 func TestFloatsRoundTrip(t *testing.T) {
-	in := []float64{0, 1, -2.5, 3.14159, -1e300}
-	buf := putFloats(nil, in)
-	out, rest, err := getFloats(buf, len(in))
+	in := []float64{0, 1, -2.5, 3.14159, -1e300, math.Copysign(0, -1), math.Inf(1), 5e-324}
+	src := matrix.NewBlocked(1, 2, 2)
+	copy(src.Blocks[0].Data, in[:4])
+	copy(src.Blocks[1].Data, in[4:])
+	buf := src.AppendFloats(nil)
+	out, rest, err := decodeBlocked(buf, 1, 2, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(rest) != 0 {
 		t.Fatal("leftover bytes")
 	}
-	for i := range in {
-		if in[i] != out[i] {
-			t.Fatalf("float %d: %v != %v", i, in[i], out[i])
+	for b := range src.Blocks {
+		for i, v := range src.Blocks[b].Data {
+			if math.Float64bits(v) != math.Float64bits(out.Blocks[b].Data[i]) {
+				t.Fatalf("block %d float %d: %v != %v", b, i, v, out.Blocks[b].Data[i])
+			}
 		}
 	}
-	if _, _, err := getFloats(buf, len(in)+1); err == nil {
+	if _, _, err := decodeBlocked(buf[:len(buf)-8], 1, 2, 2); err == nil {
 		t.Fatal("short payload accepted")
 	}
 }

@@ -21,6 +21,7 @@ import (
 	"io"
 
 	"repro/internal/engine"
+	"repro/internal/matrix"
 )
 
 // MsgType tags a protocol message.
@@ -446,7 +447,7 @@ func decodeBlocksInto(dst [][]float64, buf []byte, nblocks, q int, pool *engine.
 	}
 	for i := 0; i < nblocks; i++ {
 		blk := pool.Get(n)
-		getFloatsInto(blk, buf)
+		matrix.ReadFloats(blk, buf)
 		dst = append(dst, blk)
 		buf = buf[8*n:]
 	}

@@ -293,17 +293,26 @@ func (s *ClusterServer) workerSession(conn net.Conn, r *bufio.Reader, w *bufio.W
 // the canonical result held by the cluster — not the freshly decoded
 // operands of this resubmission.
 func (s *ClusterServer) clientSession(w *bufio.Writer, payload []byte) {
-	reply := func(job cluster.JobID, code uint32, body []byte) {
-		out := make([]byte, jobDoneHeaderLen, jobDoneHeaderLen+len(body))
+	// A reply's header and body share one buffer sized up front: the
+	// result is appended straight behind the header, never built apart
+	// and copied.
+	header := func(job cluster.JobID, code uint32, bodyLen int) []byte {
+		out := make([]byte, jobDoneHeaderLen, jobDoneHeaderLen+bodyLen)
 		(&JobDoneHeader{Job: uint32(job), Code: code}).encode(out)
-		out = append(out, body...)
+		return out
+	}
+	send := func(out []byte) {
 		if writeMsg(w, MsgJobDone, out) == nil {
 			w.Flush()
 		}
 	}
+	fail := func(job cluster.JobID, err error) {
+		msg := err.Error()
+		send(append(header(job, 1, len(msg)), msg...))
+	}
 	spec, key, err := decodeJobSubmission(payload)
 	if err != nil {
-		reply(0, 1, []byte(err.Error()))
+		fail(0, err)
 		return
 	}
 	id, _, err := s.cl.SubmitJobKeyed(key, spec)
@@ -313,13 +322,13 @@ func (s *ClusterServer) clientSession(w *bufio.Writer, payload []byte) {
 		// shutdown is exactly the transient fault that loop exists for.
 		// The journal preserves the job; the resubmitted key resumes it.
 		if !errors.Is(err, cluster.ErrClosed) {
-			reply(0, 1, []byte(err.Error()))
+			fail(0, err)
 		}
 		return
 	}
 	done, err := s.cl.Done(id)
 	if err != nil {
-		reply(id, 1, []byte(err.Error()))
+		fail(id, err)
 		return
 	}
 	select {
@@ -330,12 +339,11 @@ func (s *ClusterServer) clientSession(w *bufio.Writer, payload []byte) {
 	res, err := s.cl.JobResult(id)
 	if err != nil {
 		if !errors.Is(err, cluster.ErrClosed) {
-			reply(id, 1, []byte(err.Error()))
+			fail(id, err)
 		}
 		return
 	}
-	body := encodeBlocked(nil, res)
-	reply(id, 0, body)
+	send(res.AppendFloats(header(id, 0, res.Bytes())))
 }
 
 // decodeJobSubmission parses a MsgSubmit payload into a JobSpec backed by
@@ -400,29 +408,13 @@ func decodeJobSubmission(payload []byte) (cluster.JobSpec, uint64, error) {
 	}
 }
 
-// encodeBlocked appends every block of m in row-major block order.
-func encodeBlocked(buf []byte, m *matrix.Blocked) []byte {
-	for i := 0; i < m.BR; i++ {
-		for j := 0; j < m.BC; j++ {
-			buf = putFloats(buf, m.Block(i, j).Data)
-		}
-	}
-	return buf
-}
-
-// decodeBlocked reads br×bc blocks of q² doubles, returning the matrix
-// and the remaining bytes.
+// decodeBlocked reads br×bc blocks of q² doubles straight into a new
+// matrix, returning it and the remaining bytes.
 func decodeBlocked(buf []byte, br, bc, q int) (*matrix.Blocked, []byte, error) {
 	m := matrix.NewBlocked(br, bc, q)
-	for i := 0; i < br; i++ {
-		for j := 0; j < bc; j++ {
-			fs, rest, err := getFloats(buf, q*q)
-			if err != nil {
-				return nil, nil, err
-			}
-			copy(m.Block(i, j).Data, fs)
-			buf = rest
-		}
+	rest, err := m.ReadFloats(buf)
+	if err != nil {
+		return nil, nil, err
 	}
-	return m, buf, nil
+	return m, rest, nil
 }

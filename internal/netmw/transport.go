@@ -10,6 +10,7 @@ import (
 	"sync/atomic"
 
 	"repro/internal/engine"
+	"repro/internal/matrix"
 )
 
 // This file adapts the wire protocol (proto.go) to the engine's typed
@@ -180,7 +181,7 @@ func (c *connIO) writeSetFrame(set *engine.Set) error {
 				bs = c.enc.encoded(id, blk)
 			} else {
 				off := len(arena)
-				arena = putFloats(arena, blk)
+				arena = matrix.AppendFloats(arena, blk)
 				bs = arena[off:]
 			}
 			iov = append(iov, bs)
@@ -234,7 +235,7 @@ func capOnWire(cap int) uint32 {
 // appendBlocks encodes a block list and releases it if owned.
 func (c *connIO) appendBlocks(buf []byte, blocks [][]float64, owned bool) []byte {
 	for _, blk := range blocks {
-		buf = putFloats(buf, blk)
+		buf = matrix.AppendFloats(buf, blk)
 	}
 	if owned {
 		c.pool.PutAll(blocks)
@@ -282,7 +283,7 @@ func (c *connIO) sendFlushResult(fr *engine.FlushResult) error {
 			buf = append(buf, word[:]...)
 			binary.LittleEndian.PutUint32(word[:4], uint32(len(fr.Blocks[i])))
 			buf = append(buf, word[:4]...)
-			buf = putFloats(buf, fr.Blocks[i])
+			buf = matrix.AppendFloats(buf, fr.Blocks[i])
 		}
 		return appendCRC(buf, off)
 	})
@@ -332,7 +333,7 @@ func decodeFlushResult(payload []byte, pool *engine.BlockPool) (*engine.FlushRes
 				i, len(payload), 8*n)
 		}
 		blk := pool.Get(n)
-		getFloatsInto(blk, payload)
+		matrix.ReadFloats(blk, payload)
 		payload = payload[8*n:]
 		fr.IDs = append(fr.IDs, id)
 		fr.Blocks = append(fr.Blocks, blk)
@@ -438,7 +439,7 @@ func decodeSetPooled(payload []byte, g *geomFIFO, pool *engine.BlockPool) (*engi
 		var blk []float64 // nil = resolved from the resident cache
 		if flag == 1 {
 			blk = pool.Get(q * q)
-			getFloatsInto(blk, blocks)
+			matrix.ReadFloats(blk, blocks)
 			blocks = blocks[8*q*q:]
 		}
 		if e < nA {

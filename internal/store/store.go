@@ -1,7 +1,7 @@
 // Package store is the durable write-ahead journal under the cluster's
 // control plane: an append-only log of opaque records with CRC-framed
-// entries, per-append fsync, segment rotation, and compaction into a
-// snapshot record — the persistence layer that lets a master process
+// entries, group-committed fsync, segment rotation, and compaction into
+// a snapshot record — the persistence layer that lets a master process
 // crash (or deploy) without losing accepted work.
 //
 // The journal stores bytes, not scheduler state: internal/cluster
@@ -9,14 +9,25 @@
 // finished, snapshot) and its replay semantics. The contract the store
 // provides is narrower and testable on its own:
 //
-//   - An Append that returned nil is durable: the frame was written and
-//     fsync'd before the call returned (group-commit batching is the
-//     caller's concern; the cluster batches naturally because one
-//     commit record covers a whole chunk of tiles).
-//   - Replay yields exactly the durable record prefix, in append order.
-//     A torn tail — the crash hit mid-write — is detected by the frame
-//     CRC/length and silently dropped; Open truncates it so subsequent
-//     appends extend the valid prefix instead of burying garbage.
+//   - Write puts a record after every record written before it, without
+//     waiting for the disk. Sync makes every record written before the
+//     call durable. Syncs are group-committed: one fsync runs at a time,
+//     and callers that arrive while it runs share the next one, so N
+//     concurrent writers cost far fewer than N fsyncs. A failed fsync is
+//     sticky — every later Write, Sync and Append fails, because after
+//     a failed fsync the kernel no longer says which pages reached disk.
+//   - Append is Write then Sync: a nil return means the record is
+//     durable.
+//   - Replay yields exactly the durable record prefix, in write order
+//     (plus any later records the OS happened to persist). A torn tail
+//     — the crash hit mid-write — is detected by the frame CRC/length
+//     and silently dropped; Open truncates it so subsequent writes
+//     extend the valid prefix instead of burying garbage.
+//   - A segment rotates only once it is full and every record in it is
+//     durable, so a crash can tear the newest segment alone. Rotation
+//     happens inside Sync, off any caller's lock, and costs no fsync of
+//     its own: the new segment's directory entry is synced by the Sync
+//     that first makes one of its records durable.
 //   - Compact(snapshot) starts a fresh segment whose first record is
 //     the snapshot (flagged so replay can reset state), then deletes
 //     the older segments. A crash between the two steps is safe: the
@@ -30,10 +41,10 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
-	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"sync"
 )
 
 // Frame layout: u32 payload length, u32 CRC-32C over (flag byte ‖
@@ -52,16 +63,16 @@ const maxRecord = 1 << 30
 
 var crcTable = crc32.MakeTable(crc32.Castagnoli)
 
-// ErrClosed is returned by Append after Close.
+// ErrClosed is returned by Write and Append after Close.
 var ErrClosed = errors.New("store: journal closed")
 
 // Options tunes a Journal.
 type Options struct {
 	// SegmentBytes rotates to a fresh segment file once the current one
-	// exceeds this size. Default 64 MiB.
+	// exceeds this size and all of it is durable. Default 64 MiB.
 	SegmentBytes int64
-	// NoSync skips the per-append fsync (benchmarks only; a crash may
-	// lose acknowledged records).
+	// NoSync skips every fsync (benchmarks only; a crash may lose
+	// acknowledged records).
 	NoSync bool
 	// Sync overrides the fsync call — the fault-injection hook. Nil uses
 	// (*os.File).Sync.
@@ -77,16 +88,27 @@ type ReplayStats struct {
 }
 
 // Journal is an append-only record log over segment files in one
-// directory. Append is safe for one writer; Replay may run on a live
-// directory (a concurrent reader sees a valid prefix).
+// directory. Write, Sync and Append are safe for concurrent use; records
+// land in the order their Write calls were serialized. Replay may run on
+// a live directory (a concurrent reader sees a valid prefix).
 type Journal struct {
 	dir  string
 	opts Options
+
+	mu   sync.Mutex
+	cond *sync.Cond           // signalled when a sync finishes
+	hdr  [frameHeaderLen]byte // frame header scratch for writeLocked
 
 	cur     *os.File
 	curSeq  int
 	curSize int64
 	closed  bool
+
+	written  uint64 // records written so far
+	synced   uint64 // records known durable
+	syncing  bool   // an fsync runs outside mu
+	dirDirty bool   // a segment was created since the last directory fsync
+	err      error  // sticky write or fsync failure
 }
 
 // Open creates dir if needed, validates the newest segment's tail
@@ -103,34 +125,34 @@ func Open(dir string, opts Options) (*Journal, error) {
 		return nil, fmt.Errorf("store: create dir: %w", err)
 	}
 	j := &Journal{dir: dir, opts: opts}
+	j.cond = sync.NewCond(&j.mu)
 	seqs, err := j.segments()
 	if err != nil {
 		return nil, err
 	}
 	if len(seqs) == 0 {
-		if err := j.rotate(1); err != nil {
+		if err := j.openSegment(1); err != nil {
+			return nil, err
+		}
+		if err := syncDir(dir); err != nil {
+			j.cur.Close()
 			return nil, err
 		}
 		return j, nil
 	}
 	last := seqs[len(seqs)-1]
-	valid, err := validPrefix(j.segmentPath(last))
+	path := j.segmentPath(last)
+	valid, err := validPrefix(path)
 	if err != nil {
 		return nil, err
 	}
-	f, err := os.OpenFile(j.segmentPath(last), os.O_RDWR, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("store: open segment: %w", err)
-	}
-	if err := f.Truncate(valid); err != nil {
-		f.Close()
+	if err := os.Truncate(path, valid); err != nil {
 		return nil, fmt.Errorf("store: truncate torn tail: %w", err)
 	}
-	if _, err := f.Seek(valid, io.SeekStart); err != nil {
-		f.Close()
+	if err := j.openSegment(last); err != nil {
 		return nil, err
 	}
-	j.cur, j.curSeq, j.curSize = f, last, valid
+	j.curSize = valid
 	return j, nil
 }
 
@@ -152,37 +174,134 @@ func (j *Journal) Size() int64 {
 	return total
 }
 
-// Append frames, writes and fsyncs one record. A nil error means the
-// record is durable.
+// Append writes one record and waits until it is durable. A nil error
+// means the record is durable.
 func (j *Journal) Append(rec []byte) error { return j.append(rec, flagData) }
 
 func (j *Journal) append(rec []byte, flag byte) error {
+	j.mu.Lock()
+	err := j.writeLocked(rec, flag)
+	j.mu.Unlock()
+	if err != nil {
+		return err
+	}
+	return j.Sync()
+}
+
+// Write frames and writes one record after every record written before
+// it, without waiting for the disk: the record is durable once a Sync
+// that started after Write returned has returned nil.
+func (j *Journal) Write(rec []byte) error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.writeLocked(rec, flagData)
+}
+
+// writeLocked writes the frame header, then the payload straight from
+// rec. A crash between the two writes leaves a torn tail, which Open
+// and Replay drop. A failed write is sticky: the file may now end in a
+// partial frame that later records must not follow.
+func (j *Journal) writeLocked(rec []byte, flag byte) error {
+	if j.err != nil {
+		return j.err
+	}
 	if j.closed {
 		return ErrClosed
 	}
 	if len(rec) > maxRecord {
 		return fmt.Errorf("store: record of %d bytes exceeds the %d limit", len(rec), maxRecord)
 	}
-	if j.curSize >= j.opts.SegmentBytes {
-		if err := j.rotate(j.curSeq + 1); err != nil {
-			return err
-		}
+	h := j.hdr[:]
+	binary.LittleEndian.PutUint32(h[0:], uint32(len(rec)))
+	h[8] = flag
+	binary.LittleEndian.PutUint32(h[4:], crc32.Update(crc32.Update(0, crcTable, h[8:]), crcTable, rec))
+	if _, err := j.cur.Write(h); err != nil {
+		j.err = fmt.Errorf("store: append: %w", err)
+		return j.err
 	}
-	frame := make([]byte, frameHeaderLen+len(rec))
-	binary.LittleEndian.PutUint32(frame[0:], uint32(len(rec)))
-	frame[8] = flag
-	copy(frame[frameHeaderLen:], rec)
-	binary.LittleEndian.PutUint32(frame[4:], crc32.Checksum(frame[8:], crcTable))
-	if _, err := j.cur.Write(frame); err != nil {
-		return fmt.Errorf("store: append: %w", err)
+	if _, err := j.cur.Write(rec); err != nil {
+		j.err = fmt.Errorf("store: append: %w", err)
+		return j.err
 	}
-	j.curSize += int64(len(frame))
-	if !j.opts.NoSync {
-		if err := j.opts.Sync(j.cur); err != nil {
-			return fmt.Errorf("store: fsync: %w", err)
-		}
-	}
+	j.curSize += int64(frameHeaderLen + len(rec))
+	j.written++
 	return nil
+}
+
+// Sync returns once every record written before the call is durable.
+// One fsync runs at a time; a caller that finds one running waits for it
+// and, if its records were written too late to be covered, leads the
+// next one on behalf of everyone who queued meanwhile. The first fsync
+// failure is returned to every caller from then on.
+func (j *Journal) Sync() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	target := j.written
+	for {
+		if j.err != nil {
+			return j.err
+		}
+		if j.synced >= target {
+			j.rotateIfFullLocked()
+			return j.err
+		}
+		if !j.syncing {
+			break
+		}
+		j.cond.Wait()
+	}
+	if j.closed {
+		return ErrClosed
+	}
+	j.syncing = true
+	f, upto, dirty := j.cur, j.written, j.dirDirty
+	j.mu.Unlock()
+	var err error
+	if !j.opts.NoSync {
+		if dirty {
+			err = syncDir(j.dir)
+		}
+		if err == nil {
+			if err = j.opts.Sync(f); err != nil {
+				err = fmt.Errorf("store: fsync: %w", err)
+			}
+		}
+	}
+	j.mu.Lock()
+	j.syncing = false
+	j.cond.Broadcast()
+	if err != nil {
+		j.err = err
+		return err
+	}
+	if dirty {
+		j.dirDirty = false // rotation waits for !syncing, so f is still current
+	}
+	if upto > j.synced {
+		j.synced = upto
+	}
+	j.rotateIfFullLocked()
+	return j.err
+}
+
+// rotateIfFullLocked switches to a fresh segment once the current one is
+// full and quiescent: nothing written since the last fsync and no fsync
+// running. Only then is every record of the old segment durable, so a
+// crash can never leave a torn frame anywhere but the newest segment.
+// Opening the file is metadata only; the directory entry becomes
+// durable with the next Sync (dirDirty), before any of its records is
+// reported durable.
+func (j *Journal) rotateIfFullLocked() {
+	if j.closed || j.err != nil || j.syncing || j.synced != j.written || j.curSize < j.opts.SegmentBytes {
+		return
+	}
+	old := j.cur
+	if err := j.openSegment(j.curSeq + 1); err != nil {
+		j.err = err
+		return
+	}
+	j.dirDirty = true
+	old.Close() // every record in it is durable: a close error loses nothing
 }
 
 // Compact starts a fresh segment whose first record is snapshot (marked
@@ -191,28 +310,73 @@ func (j *Journal) append(rec []byte, flag byte) error {
 // durable before any old segment is deleted, and a replay that still
 // sees stale segments resets at the snapshot record.
 func (j *Journal) Compact(snapshot []byte) error {
-	if j.closed {
-		return ErrClosed
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if err := j.quiesceLocked(); err != nil {
+		return err
 	}
 	old, err := j.segments()
 	if err != nil {
 		return err
 	}
-	if err := j.rotate(j.curSeq + 1); err != nil {
+	prev := j.cur
+	if err := j.openSegment(j.curSeq + 1); err != nil {
+		j.err = err
 		return err
 	}
-	if err := j.append(snapshot, flagSnapshot); err != nil {
+	prev.Close() // fully synced by quiesceLocked
+	if err := syncDir(j.dir); err != nil {
+		j.err = err
+		return err
+	}
+	if err := j.writeLocked(snapshot, flagSnapshot); err != nil {
+		return err
+	}
+	if err := j.fsyncLocked(); err != nil {
 		return err
 	}
 	for _, s := range old {
-		if s == j.curSeq {
-			continue
-		}
 		if err := os.Remove(j.segmentPath(s)); err != nil {
 			return fmt.Errorf("store: drop compacted segment: %w", err)
 		}
 	}
 	return syncDir(j.dir)
+}
+
+// quiesceLocked waits out a running sync, then makes every written
+// record durable with mu held — for Compact and Close, which run when no
+// caller is waiting on the journal's latency.
+func (j *Journal) quiesceLocked() error {
+	for j.syncing {
+		j.cond.Wait()
+	}
+	if j.err != nil {
+		return j.err
+	}
+	if j.closed {
+		return ErrClosed
+	}
+	return j.fsyncLocked()
+}
+
+// fsyncLocked fsyncs the current segment (and the directory, if a
+// segment was created since it was last synced) with mu held.
+func (j *Journal) fsyncLocked() error {
+	if !j.opts.NoSync {
+		if j.dirDirty {
+			if err := syncDir(j.dir); err != nil {
+				j.err = err
+				return err
+			}
+		}
+		if err := j.opts.Sync(j.cur); err != nil {
+			j.err = fmt.Errorf("store: fsync: %w", err)
+			return j.err
+		}
+	}
+	j.dirDirty = false
+	j.synced = j.written
+	return nil
 }
 
 // Replay streams every durable record to fn in append order. The
@@ -290,45 +454,28 @@ func decodeFrame(buf []byte) (rec []byte, flag byte, n int, ok bool) {
 	return buf[frameHeaderLen:end], buf[8], end, true
 }
 
-// Close fsyncs and closes the current segment.
+// Close makes every written record durable and closes the current
+// segment. A Sync that runs after Close returns nil, since everything
+// written is then durable; Write and Append return ErrClosed.
 func (j *Journal) Close() error {
+	j.mu.Lock()
+	defer j.mu.Unlock()
 	if j.closed {
 		return nil
 	}
+	err := j.quiesceLocked()
 	j.closed = true
-	if j.cur == nil {
-		return nil
-	}
-	var err error
-	if !j.opts.NoSync {
-		err = j.opts.Sync(j.cur)
-	}
 	if cerr := j.cur.Close(); err == nil {
 		err = cerr
 	}
 	return err
 }
 
-// rotate fsyncs and closes the current segment and opens segment seq.
-func (j *Journal) rotate(seq int) error {
-	if j.cur != nil {
-		if !j.opts.NoSync {
-			if err := j.opts.Sync(j.cur); err != nil {
-				return fmt.Errorf("store: fsync on rotate: %w", err)
-			}
-		}
-		if err := j.cur.Close(); err != nil {
-			return err
-		}
-		j.cur = nil
-	}
+// openSegment opens segment seq for appending and makes it current.
+func (j *Journal) openSegment(seq int) error {
 	f, err := os.OpenFile(j.segmentPath(seq), os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
-		return fmt.Errorf("store: create segment: %w", err)
-	}
-	if err := syncDir(j.dir); err != nil {
-		f.Close()
-		return err
+		return fmt.Errorf("store: open segment: %w", err)
 	}
 	j.cur, j.curSeq, j.curSize = f, seq, 0
 	return nil

@@ -7,7 +7,10 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // collect replays dir into a flat slice of (snapshot, payload) pairs.
@@ -422,4 +425,164 @@ func FuzzReplaySegment(f *testing.F) {
 			t.Fatalf("round-trip yielded %d of %d records", i, len(recs))
 		}
 	})
+}
+
+// TestGroupCommitSharesFsync: eight writers doing Write+Sync concurrently
+// replay every record, each writer's records in its own order, and pay
+// for fewer fsyncs than they made Sync calls. The first fsync is held
+// until every writer has written its first record, so the seven that
+// queue behind it deterministically share the next one.
+func TestGroupCommitSharesFsync(t *testing.T) {
+	const writers, per = 8, 25
+	var fsyncs atomic.Int64
+	var first sync.WaitGroup
+	first.Add(writers)
+	allWrote := make(chan struct{})
+	go func() { first.Wait(); close(allWrote) }()
+	dir := t.TempDir()
+	j, err := Open(dir, Options{Sync: func(f *os.File) error {
+		if fsyncs.Add(1) == 1 {
+			select { // bounded, so a journal that blocks writers fails instead of hanging
+			case <-allWrote:
+			case <-time.After(5 * time.Second):
+			}
+		}
+		return f.Sync()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				if err := j.Write([]byte(fmt.Sprintf("w%d-%03d", w, i))); err != nil {
+					t.Error(err)
+				}
+				if i == 0 {
+					first.Done()
+				}
+				if err := j.Sync(); err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if n := fsyncs.Load(); n >= writers*per {
+		t.Fatalf("%d fsyncs for %d Sync calls: no group commit", n, writers*per)
+	}
+	recs, _, _ := collect(t, dir)
+	if len(recs) != writers*per {
+		t.Fatalf("replayed %d records, want %d", len(recs), writers*per)
+	}
+	next := make([]int, writers)
+	for _, r := range recs {
+		var w, i int
+		if _, err := fmt.Sscanf(string(r), "w%d-%03d", &w, &i); err != nil || w < 0 || w >= writers {
+			t.Fatalf("unexpected record %q", r)
+		}
+		if i != next[w] {
+			t.Fatalf("writer %d: record %d replayed where %d was due", w, i, next[w])
+		}
+		next[w]++
+	}
+}
+
+// TestSyncFailureIsSticky: once an fsync fails, every later Sync,
+// Append and Write fails too, even though the disk would now accept the
+// call — after a failed fsync nobody knows which pages reached it.
+func TestSyncFailureIsSticky(t *testing.T) {
+	boom := errors.New("disk on fire")
+	var calls atomic.Int64
+	j, err := Open(t.TempDir(), Options{Sync: func(f *os.File) error {
+		if calls.Add(1) == 2 {
+			return boom
+		}
+		return f.Sync()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Close()
+	if err := j.Append([]byte("ok")); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Append([]byte("lost")); !errors.Is(err, boom) {
+		t.Fatalf("Append with failing fsync = %v, want wrapped %v", err, boom)
+	}
+	for i := 0; i < 3; i++ {
+		if err := j.Sync(); !errors.Is(err, boom) {
+			t.Fatalf("Sync %d after failure = %v, want wrapped %v", i, err, boom)
+		}
+		if err := j.Append([]byte("again")); !errors.Is(err, boom) {
+			t.Fatalf("Append %d after failure = %v, want wrapped %v", i, err, boom)
+		}
+		if err := j.Write([]byte("again")); !errors.Is(err, boom) {
+			t.Fatalf("Write %d after failure = %v, want wrapped %v", i, err, boom)
+		}
+	}
+	if n := calls.Load(); n != 2 {
+		t.Fatalf("fsync called %d times, want 2 (no fsync after the failure)", n)
+	}
+}
+
+// TestSegmentRotationDuringSync: with tiny segments and a slow fsync,
+// writers keep writing while syncs are in flight, so rotations land
+// between and during them. Replay still yields every record exactly
+// once and in each writer's order, and only the newest segment may be
+// open-ended (CI runs this under the race detector).
+func TestSegmentRotationDuringSync(t *testing.T) {
+	const writers, per = 4, 40
+	dir := t.TempDir()
+	j, err := Open(dir, Options{SegmentBytes: 128, Sync: func(f *os.File) error {
+		time.Sleep(200 * time.Microsecond)
+		return f.Sync()
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < per; i++ {
+				rec := []byte(fmt.Sprintf("w%d-%03d", w, i))
+				var err error
+				if i%3 == 0 {
+					err = j.Write(rec) // some records ride on a later Sync
+				} else {
+					err = j.Append(rec)
+				}
+				if err != nil {
+					t.Error(err)
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if seqs, _ := segmentsIn(dir); len(seqs) < 3 {
+		t.Fatalf("expected rotation to produce multiple segments, got %d", len(seqs))
+	}
+	recs, _, st := collect(t, dir)
+	if st.Torn != 0 || len(recs) != writers*per {
+		t.Fatalf("replayed %d records (torn %d), want %d", len(recs), st.Torn, writers*per)
+	}
+	next := make([]int, writers)
+	for _, r := range recs {
+		var w, i int
+		if _, err := fmt.Sscanf(string(r), "w%d-%03d", &w, &i); err != nil || w < 0 || w >= writers || i != next[w] {
+			t.Fatalf("record %q out of order (writer next %v)", r, next)
+		}
+		next[w]++
+	}
 }

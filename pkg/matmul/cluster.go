@@ -153,7 +153,14 @@ type (
 	// capped exponential backoff (ClusterConfig.Retry).
 	ClusterRetryPolicy = cluster.RetryPolicy
 	// ClusterJobLog is the durable sink for job lifecycle events
-	// (ClusterConfig.Log).
+	// (ClusterConfig.Log). A custom implementation must keep two
+	// promises. Append runs under the scheduler lock, so it should only
+	// write the record, in call order, and return. Sync makes every
+	// record appended before it durable. It runs outside the lock,
+	// often from many goroutines at once, so one fsync should serve
+	// every concurrent caller. A failed Sync should stay failed. The
+	// cluster waits on Sync before a submit returns and before a
+	// finished job's Done channel closes.
 	ClusterJobLog = cluster.JobLog
 	// ClusterRecoveryStats summarizes a (*Cluster).Recover replay.
 	ClusterRecoveryStats = cluster.RecoveryStats
@@ -171,8 +178,8 @@ var (
 	ErrClusterClosed = cluster.ErrClosed
 )
 
-// ClusterJournal is an append-only, fsync'd, CRC-framed write-ahead
-// journal backing a cluster's control plane.
+// ClusterJournal is an append-only, CRC-framed write-ahead journal with
+// group-committed fsync, backing a cluster's control plane.
 type ClusterJournal struct{ jn *store.Journal }
 
 // OpenClusterJournal opens (or creates) the journal in dir, dropping any
